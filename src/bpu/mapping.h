@@ -40,7 +40,7 @@ struct BtbIndex;
 // satisfy MappingCore — the nine index/tag/codec functions of the paper's
 // Figure 1 + Table II, all callable on a const object (mappings are pure
 // between re-keys; mutable internals like memo-caches must be logically
-// const). The three capability concepts below are optional: the engine
+// const). The four capability concepts below are optional: the engine
 // detects them per arm and lights up the corresponding machinery, so a new
 // mapping opts in by simply providing the member. Registration
 // static_asserts MappingCore for every arm (see engine.h), turning a
@@ -79,6 +79,22 @@ concept Invalidatable = requires(const M m) { m.invalidate_all(); };
 /// precompute compiles away to nothing.
 template <class M>
 concept BatchPrecompute = requires { typename M::PrecomputeSelect; };
+
+/// The TAGE loop predictor keys its tag through the Rt tag function with a
+/// zero history under this pseudo-table number and output width.
+inline constexpr unsigned kTageLoopTagTable = 63;
+inline constexpr unsigned kTageLoopTagBits = 10;
+
+/// Optional capability: the mapping computes every tagged table's TAGE
+/// index and tag for one access in a single batched call
+/// (`tage_rt_all`, see core::Remapper::rt_all), plus the loop predictor's
+/// tag when `loop_tag_out` is non-null. Outputs equal the per-table
+/// tage_index/tage_tag calls; TagePredictorT uses it instead of them.
+template <class M>
+concept RtBatch = requires(const M m, std::uint64_t a, const std::uint64_t* keys,
+                           unsigned bits, std::uint32_t* out, const ExecContext& ctx) {
+  m.tage_rt_all(a, keys, keys, bits, bits, bits, out, out, out, ctx);
+};
 
 /// Optional capability: the mapping reports per-structure cache statistics
 /// (`stats()`), surfaced through models::engine_remap_cache_stats.

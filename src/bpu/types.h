@@ -80,25 +80,6 @@ struct PredictRequest {
   BranchType type = BranchType::kConditional;
 };
 
-/// One queued TAGE Rt-key request of the batch-native API: the (ip, folded
-/// geometric history, table) triple that keys one tagged table's Rt
-/// index/tag under STBPU. A TAGE engine's lookahead replicates the
-/// predictor's incremental per-table folded-history state in a shadow
-/// fold-forward walk (tage::TagePredictorT::ShadowHistory) and emits one of
-/// these per (branch, table); the mapping batches the keyed mixes. Same
-/// discard contract as PredictRequest: a request built from a wrong
-/// speculative outcome carries a folded value the demand path never asks
-/// for, so the remap cache's key check discards it without stat pollution.
-struct TageRtRequest {
-  std::uint64_t ip = 0;
-  std::uint64_t folded_index = 0;  ///< packed folded key for the Rt index
-  std::uint64_t folded_tag = 0;    ///< packed folded key for the Rt tag
-                                   ///< (distinct: the tag pack scrambles the
-                                   ///< base differently, by design)
-  std::uint32_t table = 0;         ///< tagged table number (part of the Rt key)
-  ExecContext ctx;
-};
-
 /// What the front end would do with this branch before resolution.
 struct Prediction {
   bool taken = false;           ///< predicted direction (conditionals)

@@ -14,6 +14,7 @@
 // (avalanche) criteria the generator enforces, over every R function.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 
@@ -420,6 +421,49 @@ class Remapper {
     return rt_tag_from_mix(m, tag_bits);
   }
 
+  /// Lane capacity of one rt_all kernel call (index or tag side).
+  static constexpr unsigned kRtLanes = 16;
+
+  /// Every tagged table's Rt index and tag for one TAGE access: table t
+  /// keys its index on `index_keys[t]` and its tag on `tag_keys[t]`, so
+  /// idx_out[t] == rt_index(psi, ip, index_keys[t], t, index_bits) and
+  /// tag_out[t] == rt_tag(psi, ip, tag_keys[t], t, tag_bits). A non-null
+  /// `loop_tag_out` also receives the loop predictor's tag, rt_tag(psi, ip,
+  /// 0, bpu::kTageLoopTagTable, bpu::kTageLoopTagBits): it shares the Rt tag
+  /// tweak, so it rides in the spare tag lane after the last table. Two
+  /// batched mixes (index lanes, tag lanes), each padded up to a multiple
+  /// of four lanes so the AVX2 kernel takes it; configurations with more
+  /// than kRtLanes - 1 tables fall back to per-table mixes.
+  /// `UseAvx2 = false` pins the portable byte-LUT kernel (tests compare
+  /// both renderings against the scalar functions).
+  template <bool UseAvx2 = true>
+  static void rt_all(std::uint32_t psi, std::uint64_t ip, const std::uint64_t* index_keys,
+                     const std::uint64_t* tag_keys, unsigned n, unsigned index_bits,
+                     unsigned tag_bits, std::uint32_t* idx_out, std::uint32_t* tag_out,
+                     std::uint32_t* loop_tag_out) noexcept {
+    if (n >= kRtLanes) {
+      for (unsigned t = 0; t < n; ++t) {
+        idx_out[t] = rt_index(psi, ip, index_keys[t], t, index_bits);
+        tag_out[t] = rt_tag(psi, ip, tag_keys[t], t, tag_bits);
+      }
+      if (loop_tag_out != nullptr) {
+        *loop_tag_out = rt_tag(psi, ip, 0, bpu::kTageLoopTagTable, bpu::kTageLoopTagBits);
+      }
+      return;
+    }
+    std::uint64_t lo[kRtLanes], hi[kRtLanes] = {}, m[kRtLanes];
+    std::fill_n(lo, kRtLanes, ip & bpu::kVirtualAddressMask);
+    for (unsigned t = 0; t < n; ++t) hi[t] = index_keys[t] ^ (std::uint64_t{t} << 58);
+    mix_rt_lanes<UseAvx2>(lo, hi, n, psi, kTweakRtIndex, m);
+    for (unsigned t = 0; t < n; ++t) idx_out[t] = rt_index_from_mix(m[t], index_bits);
+
+    for (unsigned t = 0; t < n; ++t) hi[t] = tag_keys[t] ^ (std::uint64_t{t} << 58);
+    hi[n] = std::uint64_t{bpu::kTageLoopTagTable} << 58;
+    mix_rt_lanes<UseAvx2>(lo, hi, loop_tag_out != nullptr ? n + 1 : n, psi, kTweakRtTag, m);
+    for (unsigned t = 0; t < n; ++t) tag_out[t] = rt_tag_from_mix(m[t], tag_bits);
+    if (loop_tag_out != nullptr) *loop_tag_out = rt_tag_from_mix(m[n], bpu::kTageLoopTagBits);
+  }
+
   /// Rp(80 ↦ 10): ψ + 48-bit address → perceptron row.
   [[nodiscard]] static std::uint32_t rp(std::uint32_t psi, std::uint64_t ip,
                                         unsigned row_bits) noexcept {
@@ -442,6 +486,35 @@ class Remapper {
         .offset = static_cast<std::uint32_t>(
             util::bits(m, set_bits + tag_bits, offset_bits)),
     };
+  }
+
+ private:
+  /// One batched mix over the first `n` <= kRtLanes lanes, rounded up to
+  /// the next multiple of four (the padding lanes are computed and ignored).
+  template <bool UseAvx2>
+  static void mix_rt_lanes(const std::uint64_t* lo, const std::uint64_t* hi, unsigned n,
+                           std::uint32_t psi, std::uint64_t tweak,
+                           std::uint64_t* out) noexcept {
+    switch ((n + 3) / 4) {
+      case 0:
+      case 1:
+        return mix_lanes<4, UseAvx2>(lo, hi, psi, tweak, out);
+      case 2:
+        return mix_lanes<8, UseAvx2>(lo, hi, psi, tweak, out);
+      case 3:
+        return mix_lanes<12, UseAvx2>(lo, hi, psi, tweak, out);
+      default:
+        return mix_lanes<16, UseAvx2>(lo, hi, psi, tweak, out);
+    }
+  }
+  template <unsigned N, bool UseAvx2>
+  static void mix_lanes(const std::uint64_t* lo, const std::uint64_t* hi, std::uint32_t psi,
+                        std::uint64_t tweak, std::uint64_t* out) noexcept {
+    if constexpr (UseAvx2) {
+      detail::mix_batch_dispatch<N>(lo, hi, psi, tweak, out);
+    } else {
+      detail::mix_batch<N, /*UseLut16=*/false>(lo, hi, psi, tweak, out);
+    }
   }
 };
 

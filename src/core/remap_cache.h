@@ -1,12 +1,14 @@
 // Remap memo-cache: direct-mapped software caches over the keyed remapping
-// functions R1/R2/R3/R4/Rt/Rp.
+// functions R1/R2/R3/R4/Rp. Rt is not memoized: TAGE folds change on
+// every branch, so its keys rarely recur, and the batched rt_all kernel
+// computes a whole access's Rt outputs for less than the probes cost.
 //
 // Rationale: between two ψ re-keys the R functions are pure in their inputs
 // — the same (ψ, address[, history]) tuple always produces the same output,
 // so the 3-round S/P-box mix() network (src/core/remap.h) can be memoized.
 // The trace workloads re-execute the same branch sites millions of times,
-// so R1/R3/Rp (keyed by address only) hit almost always, and R4/Rt (keyed
-// by address + history) hit whenever history patterns recur (loops). This
+// so R1/R3/Rp (keyed by address only) hit almost always, and R4 (keyed
+// by address + history) hits whenever history patterns recur (loops). This
 // is the dominant cost of STBPU simulation — CIBPU (Zhou et al., 2025)
 // makes the same observation about keyed index functions.
 //
@@ -42,7 +44,8 @@ struct RemapCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t invalidations = 0;  ///< whole-cache generation bumps
-  /// Per-function breakdown, indexed by Fn.
+  /// Per-function breakdown, indexed by Fn. kRtIndex/kRtTag stay at zero
+  /// (Rt is computed, not memoized) and keep their slots for reporting.
   enum Fn : unsigned { kR1, kR2, kR3, kR4, kRtIndex, kRtTag, kRp, kR34, kFnCount };
   std::uint64_t fn_hits[kFnCount] = {};
   std::uint64_t fn_misses[kFnCount] = {};
@@ -53,7 +56,6 @@ struct RemapCacheStats {
   // demand hit there — which is exactly the attribution the --cache-stats
   // side-channel wants.
   std::uint64_t batch_requests = 0;    ///< PredictRequests offered
-  std::uint64_t batch_rt_requests = 0; ///< TageRtRequests offered (precompute_rt)
   std::uint64_t batch_drops = 0;       ///< dropped (foreign ctx / no token yet)
   std::uint64_t batch_probe_hits = 0;  ///< probes already resident
   std::uint64_t batch_fills = 0;       ///< compacted misses computed + filled
@@ -84,7 +86,7 @@ class CachedStbpuMapping {
 
   // Per-function capacities matched to key churn: address-keyed caches
   // (R1/R3/Rp) track the hot branch-site working set; history-keyed caches
-  // (R4/Rt/R2) see a new key whenever the history pattern is new — their
+  // (R4/R2) see a new key whenever the history pattern is new — their
   // reuse is the immediate predict→update / lookup→train double call plus
   // loop-periodic patterns, which small caches capture without streaming
   // dirty lines through the hardware L2. The fused R3+R4 cache is the
@@ -96,12 +98,6 @@ class CachedStbpuMapping {
   static constexpr unsigned kSiteBits = 12;   ///< R1/R3/Rp: 4096 entries
   static constexpr unsigned kHistBits = 10;   ///< R2/R4: 1024 entries
   static constexpr unsigned kR34Bits = 12;    ///< fused R3+R4: 4096 entries
-  // Rt index/tag: 4096 entries each. Sized like r34_: these two caches
-  // double as the staging buffer of the TAGE precompute window (64 records
-  // x num_tables keys per cache per window = 384-640 keys), so 4096 slots
-  // keep per-key self-eviction in the same ~10% band the r34_ sizing note
-  // above establishes for the 512-record SKLCond window.
-  static constexpr unsigned kTageBits = 12;
 
   explicit CachedStbpuMapping(STManager* stm)
       : stm_(stm),
@@ -110,8 +106,6 @@ class CachedStbpuMapping {
         r3_(std::size_t{1} << kSiteBits),
         r4_(std::size_t{1} << kHistBits),
         r34_(std::size_t{1} << kR34Bits),
-        rt_index_(std::size_t{1} << kTageBits),
-        rt_tag_(std::size_t{1} << kTageBits),
         rp_(std::size_t{1} << kSiteBits) {}
 
   // R1 output packs into 22 bits (9 set + 8 tag + 5 offset) — stored as
@@ -201,28 +195,25 @@ class CachedStbpuMapping {
   [[nodiscard]] std::uint32_t tage_index(std::uint64_t ip, std::uint64_t folded_hist,
                                          unsigned table, unsigned index_bits,
                                          const bpu::ExecContext& ctx) const {
-    const std::uint32_t psi = token(ctx).psi;
-    // folded_hist occupies bits 0..55 (TAGE packs two folds + a path
-    // slice), so table in bits 58.. and index_bits above the 48-bit ip keep
-    // the composite key exact.
-    const std::uint64_t k0 =
-        (ip & bpu::kVirtualAddressMask) | (std::uint64_t{index_bits} << 48);
-    const std::uint64_t k1 = folded_hist | (std::uint64_t{table} << 58);
-    return memo2<kTageBits, RemapCacheStats::kRtIndex>(rt_index_, k0, k1, psi, [&](std::uint64_t, std::uint64_t) {
-      return Remapper::rt_index(psi, ip, folded_hist, table, index_bits);
-    });
+    return Remapper::rt_index(token(ctx).psi, ip, folded_hist, table, index_bits);
   }
 
   [[nodiscard]] std::uint32_t tage_tag(std::uint64_t ip, std::uint64_t folded_hist,
                                        unsigned table, unsigned tag_bits,
                                        const bpu::ExecContext& ctx) const {
-    const std::uint32_t psi = token(ctx).psi;
-    const std::uint64_t k0 =
-        (ip & bpu::kVirtualAddressMask) | (std::uint64_t{tag_bits} << 48);
-    const std::uint64_t k1 = folded_hist | (std::uint64_t{table} << 58);
-    return memo2<kTageBits, RemapCacheStats::kRtTag>(rt_tag_, k0, k1, psi, [&](std::uint64_t, std::uint64_t) {
-      return Remapper::rt_tag(psi, ip, folded_hist, table, tag_bits);
-    });
+    return Remapper::rt_tag(token(ctx).psi, ip, folded_hist, table, tag_bits);
+  }
+
+  /// Batched Rt (the bpu::RtBatch capability): every tagged table's index
+  /// and tag for one TAGE access, plus the loop tag when `loop_tag_out` is
+  /// non-null, through Remapper::rt_all. ψ comes from one token(ctx) call,
+  /// so token creation happens where the first per-table call used to.
+  void tage_rt_all(std::uint64_t ip, const std::uint64_t* index_keys,
+                   const std::uint64_t* tag_keys, unsigned n, unsigned index_bits,
+                   unsigned tag_bits, std::uint32_t* idx_out, std::uint32_t* tag_out,
+                   std::uint32_t* loop_tag_out, const bpu::ExecContext& ctx) const {
+    Remapper::rt_all(token(ctx).psi, ip, index_keys, tag_keys, n, index_bits, tag_bits,
+                     idx_out, tag_out, loop_tag_out);
   }
 
   [[nodiscard]] std::uint32_t perceptron_row(std::uint64_t ip, unsigned row_bits,
@@ -246,11 +237,6 @@ class CachedStbpuMapping {
     bool r1 = true;
     bool r34 = false;        ///< fused PHT indexes; consumes PredictRequest::ghr
     bool rp = false;         ///< perceptron row
-    bool rt = false;         ///< TAGE Rt index/tag — served by the typed
-                             ///< precompute_rt() overload (TageRtRequest
-                             ///< carries the folded history PredictRequest
-                             ///< cannot), this flag gates the engine's
-                             ///< shadow fold-forward walk
     unsigned rp_row_bits = 0;
   };
 
@@ -331,51 +317,6 @@ class CachedStbpuMapping {
     flush_r1(r1l, psi);
     flush_r34(r34l, psi);
     flush_rp(rpl, psi, sel.rp_row_bits);
-  }
-
-  /// TAGE Rt batch probe/fill — the per-table sibling of precompute().
-  /// Each request keys ONE tagged table's index and tag under the current
-  /// ψ; the engine's shadow fold-forward walk emits num_tables of these per
-  /// lookahead branch. Probes mirror the tage_index/tage_tag demand keys
-  /// exactly ((ip, out_bits) low word, (folded, table) high word), misses
-  /// compact into two lanes (index and tag carry different tweaks, so they
-  /// batch separately), and fills are bit-identical to a demand compute.
-  /// Token discipline is identical to precompute(): never fetches a token,
-  /// drops foreign-context requests and whole spans under pending mutation.
-  void precompute_rt(std::span<const bpu::TageRtRequest> reqs, unsigned index_bits,
-                     unsigned tag_bits) const {
-    stats_.batch_rt_requests += reqs.size();
-    if (!token_valid_ || stm_->mutations() != mutation_snapshot_) {
-      stats_.batch_drops += reqs.size();
-      return;
-    }
-    const std::uint32_t psi = token_.psi;
-    RtLanes il, tl;
-    for (const bpu::TageRtRequest& q : reqs) {
-      if (q.ctx.pid != token_pid_ || q.ctx.kernel != token_kernel_) {
-        ++stats_.batch_drops;
-        continue;
-      }
-      // No probe-before-fill here, unlike precompute(): TAGE folds change
-      // on every branch, so measured probe-hit rates are ~0.2% — the two
-      // extra random cache-line reads per request cost more than the
-      // redundant mixes they avoid. Fills are bit-identical recomputes, so
-      // overwriting a warm (or duplicate in-window) entry is harmless.
-      //
-      // The lanes carry only (address, folded|table): the packed folded
-      // keys occupy bits 0..55 and table<<58 bits 58..61, so the demand
-      // path's mix operand `folded ^ (table << 58)` equals the cache key
-      // `folded | (table << 58)` — one combined word serves as both, and
-      // flush_rt reconstructs k0 and the slot from it.
-      const std::uint64_t a = q.ip & bpu::kVirtualAddressMask;
-      const std::uint64_t tbl = std::uint64_t{q.table} << 58;
-      il.add(a, q.folded_index | tbl);
-      if (il.n == kMixLanes) flush_rt(il, psi, index_bits, /*is_tag=*/false);
-      tl.add(a, q.folded_tag | tbl);
-      if (tl.n == kMixLanes) flush_rt(tl, psi, tag_bits, /*is_tag=*/true);
-    }
-    flush_rt(il, psi, index_bits, /*is_tag=*/false);
-    flush_rt(tl, psi, tag_bits, /*is_tag=*/true);
   }
 
   /// Empty every cached entry (O(1) generation bump). Called by the engine
@@ -484,45 +425,25 @@ class CachedStbpuMapping {
     }
   };
 
-  /// Minimal lane pair for the Rt batch: the combined (folded | table<<58)
-  /// word doubles as mix operand and exact cache key (disjoint bit fields,
-  /// see precompute_rt), so nothing else needs staging per miss.
-  struct RtLanes {
-    std::uint64_t lo[kMixLanes];
-    std::uint64_t hi[kMixLanes];
-    unsigned n = 0;
-
-    void add(std::uint64_t lo_v, std::uint64_t hi_v) noexcept {
-      lo[n] = lo_v;
-      hi[n] = hi_v;
-      ++n;
-    }
-  };
-
   /// Mix every pending lane under one (ψ, tweak): full batches go through
   /// the interleaved kernel, remainders through scalar mix() — identical
   /// outputs either way, so fills are indistinguishable from demand fills.
   template <std::uint64_t Tweak>
-  void mix_lanes(const std::uint64_t (&lo)[kMixLanes], const std::uint64_t (&hi)[kMixLanes],
-                 unsigned n, std::uint32_t psi, std::uint64_t (&m)[kMixLanes]) const {
-    if (n == kMixLanes) {
+  void mix_lanes(const MissLanes& l, std::uint32_t psi,
+                 std::uint64_t (&m)[kMixLanes]) const {
+    if (l.n == kMixLanes) {
       // Dispatches to the AVX2 nibble-shuffle kernel when the host has it,
       // else byte-LUT lanes — NOT the 16-bit LUT: in isolation LUT16
       // batches are ~28% faster (mix_batch scenario), but their 256 KiB of
       // tables evict the predictor/PHT working set in-context, while the
       // byte LUTs stay resident in 512 bytes and the AVX2 S-boxes live in
       // registers outright.
-      detail::mix_batch_dispatch<kMixLanes>(lo, hi, psi, Tweak, m);
+      detail::mix_batch_dispatch<kMixLanes>(l.lo, l.hi, psi, Tweak, m);
     } else {
-      for (unsigned i = 0; i < n; ++i) {
-        m[i] = detail::mix(lo[i], hi[i], psi, Tweak);
+      for (unsigned i = 0; i < l.n; ++i) {
+        m[i] = detail::mix(l.lo[i], l.hi[i], psi, Tweak);
       }
     }
-  }
-  template <std::uint64_t Tweak>
-  void mix_lanes(const MissLanes& l, std::uint32_t psi,
-                 std::uint64_t (&m)[kMixLanes]) const {
-    mix_lanes<Tweak>(l.lo, l.hi, l.n, psi, m);
   }
 
   void flush_r1(MissLanes& l, std::uint32_t psi) const {
@@ -594,33 +515,6 @@ class CachedStbpuMapping {
     l.n = 0;
   }
 
-  void flush_rt(RtLanes& l, std::uint32_t psi, unsigned out_bits, bool is_tag) const {
-    if (l.n == 0) return;
-    std::uint64_t m[kMixLanes];
-    if (is_tag) {
-      mix_lanes<Remapper::kTweakRtTag>(l.lo, l.hi, l.n, psi, m);
-    } else {
-      mix_lanes<Remapper::kTweakRtIndex>(l.lo, l.hi, l.n, psi, m);
-    }
-    std::vector<Entry2<std::uint32_t>>& table = is_tag ? rt_tag_ : rt_index_;
-    const std::uint64_t bits_hi = std::uint64_t{out_bits} << 48;
-    for (unsigned i = 0; i < l.n; ++i) {
-      const std::uint64_t k0 = l.lo[i] | bits_hi;
-      const std::uint64_t k1 = l.hi[i];
-      Entry2<std::uint32_t>& e = table[slot2<kTageBits>(k0, k1)];
-      e.k0 = k0;
-      e.k1 = k1;
-      e.psi = psi;
-      e.gen = generation_;
-      e.value = is_tag ? Remapper::rt_tag_from_mix(m[i], out_bits)
-                       : Remapper::rt_index_from_mix(m[i], out_bits);
-    }
-    stats_.batch_fills += l.n;
-    stats_.fn_batch_fills[is_tag ? RemapCacheStats::kRtTag : RemapCacheStats::kRtIndex] +=
-        l.n;
-    l.n = 0;
-  }
-
   /// Wipe the generation stamp of every entry in every table — only the
   /// generation-wrap path pays this sweep.
   void hard_clear() const {
@@ -632,8 +526,6 @@ class CachedStbpuMapping {
     clear(r3_);
     clear(r4_);
     clear(r34_);
-    clear(rt_index_);
-    clear(rt_tag_);
     clear(rp_);
   }
 
@@ -687,8 +579,6 @@ class CachedStbpuMapping {
   mutable std::vector<Entry1<std::uint32_t>> r3_;
   mutable std::vector<Entry2<std::uint32_t>> r4_;
   mutable std::vector<Entry2<std::uint64_t>> r34_;  ///< fused (R3 | R4<<32)
-  mutable std::vector<Entry2<std::uint32_t>> rt_index_;
-  mutable std::vector<Entry2<std::uint32_t>> rt_tag_;
   mutable std::vector<Entry1<std::uint32_t>> rp_;
 };
 

@@ -67,7 +67,6 @@ inline void append_cache_stats(PointResult& p, const core::RemapCacheStats& s) {
       .set("cache_misses", s.misses)
       .set("cache_invalidations", s.invalidations)
       .set("cache_batch_requests", s.batch_requests)
-      .set("cache_batch_rt_requests", s.batch_rt_requests)
       .set("cache_batch_drops", s.batch_drops)
       .set("cache_batch_probe_hits", s.batch_probe_hits)
       .set("cache_batch_fills", s.batch_fills);

@@ -14,9 +14,9 @@
 // capabilities (bpu::Invalidatable / BatchPrecompute / StatsReporting) are
 // detected per arm — see bpu/mapping.h for the documented contract.
 //
-// STBPU engines additionally route every R-function through the remap
-// memo-cache (core/remap_cache.h), exploiting that R outputs are constant
-// between ψ re-keys.
+// STBPU engines additionally route R1-R4/Rp through the remap memo-cache
+// (core/remap_cache.h), exploiting that R outputs are constant between ψ
+// re-keys; TAGE's Rt keys are computed per access in one batched mix.
 //
 // make_engine(spec) mirrors BpuModel::create(spec) exactly — same token
 // manager seeding, monitor wiring and switch policy — so both produce
@@ -91,31 +91,24 @@ class EngineT final : public bpu::IPredictor {
   /// lookahead requests must then carry a speculative GHR.
   static constexpr bool kGhrLookahead =
       std::is_same_v<Direction, bpu::SklCondPredictorT<Mapping>>;
-  /// True when the direction predictor keys its tables on per-table folded
-  /// geometric histories (TAGE) — the lookahead then replicates the fold
-  /// state in a shadow fold-forward walk and emits Rt key requests.
-  static constexpr bool kTageLookahead =
-      std::is_same_v<Direction, tage::TagePredictorT<Mapping>>;
   /// True when this engine's precompute actually does work — the gate
   /// front ends (the integer-tick sim::OooCoreT's lookahead window and its
   /// double-precision reference OooCoreRefT, sim::replay's chunked walk)
   /// use to skip buffering/request-building on the model×direction combos
   /// where precompute compiles to a no-op and the bookkeeping would be pure
-  /// per-record overhead.
-  static constexpr bool kBatchPrecompute =
-      kBatchMapping && (kGhrLookahead || kTageLookahead);
+  /// per-record overhead. TAGE engines are not among them: their Rt keys
+  /// are batched per access at predict time (bpu::RtBatch).
+  static constexpr bool kBatchPrecompute = kBatchMapping && kGhrLookahead;
 
   /// Largest span one precompute pass should cover. The staging caches are
   /// direct-mapped: precomputing far more keys than they hold makes fills
   /// evict each other before their demand access (wasting the batched mix
   /// AND paying the scalar recompute). SKLCond emits one R4 key per
   /// conditional into the 4096-entry fused cache, so 512 records fit with
-  /// ~12% self-eviction; TAGE emits num_tables (6-10) index AND tag keys
-  /// per conditional into each 4096-entry Rt cache, so the window shrinks
-  /// to 64 records to stay in the same self-eviction band. Callers with
-  /// larger windows — sim::replay's 4096-record runs, access_batch —
-  /// precompute in chunks of this size interleaved with the accesses.
-  static constexpr std::size_t kPrecomputeWindow = kTageLookahead ? 64 : 512;
+  /// ~12% self-eviction. Callers with larger windows — sim::replay's
+  /// 4096-record runs, access_batch — precompute in chunks of this size
+  /// interleaved with the accesses.
+  static constexpr std::size_t kPrecomputeWindow = 512;
 
   /// Warm the mapping caches for explicit requests (the raw API — callers
   /// that track their own speculative GHR, e.g. tests and attack studies).
@@ -190,35 +183,29 @@ class EngineT final : public bpu::IPredictor {
   /// direction-predictor type. Measured discipline, not completeness: only
   /// the history-keyed functions have compulsory demand-miss rates worth
   /// paying a per-record probe for — the fused R3+R4 probe for SKLCond
-  /// (~0.75 misses/branch) and the per-table Rt index/tag pair for TAGE
-  /// (the folds change every branch, so nearly every key is fresh). The
-  /// address-keyed functions already memoize at ≥99% demand hit rates
-  /// (R1 ~99.4%, Rp ~99.7% on the fig4 workloads), so probing them per
-  /// lookahead record costs more than the handful of misses it would
-  /// batch. Recorded honestly in docs/API.md — the mapping-level API
-  /// (PrecomputeSelect) still supports r1/rp warming for callers that
-  /// want it.
+  /// (~0.75 misses/branch). The address-keyed functions already memoize at
+  /// ≥99% demand hit rates (R1 ~99.4%, Rp ~99.7% on the fig4 workloads), so
+  /// probing them per lookahead record costs more than the handful of
+  /// misses it would batch. Recorded honestly in docs/API.md — the
+  /// mapping-level API (PrecomputeSelect) still supports r1/rp warming for
+  /// callers that want it.
   template <class M = Mapping>
   [[nodiscard]] typename M::PrecomputeSelect precompute_select() const {
     typename M::PrecomputeSelect sel;
     sel.r1 = false;
     sel.r34 = kGhrLookahead;
-    sel.rt = kTageLookahead;
     return sel;
   }
 
   /// Shared request-building walk: `at(i)` yields record i of the window.
-  /// The shadow history is seeded lazily per hart from the live predictor
+  /// The speculative GHR is seeded lazily per hart from the live predictor
   /// so a window that never touches a hart never reads it. Compiles to
   /// nothing unless this engine actually has functions worth warming (see
   /// precompute_select) — engines with no batchable compulsory misses must
   /// not pay request-building overhead per record.
   template <class RecAt>
   void precompute_n(std::size_t n, RecAt&& at) {
-    if constexpr (kTageLookahead && kBatchMapping) {
-      if (n == 0) return;
-      precompute_tage_n(n, at);
-    } else if constexpr (kBatchPrecompute) {
+    if constexpr (kBatchPrecompute) {
       if (n == 0) return;
       reqs_.clear();
       reqs_.reserve(n);
@@ -245,62 +232,6 @@ class EngineT final : public bpu::IPredictor {
     }
   }
 
-  /// TAGE rendering of the request walk: a shadow fold-forward walk. Each
-  /// hart's complete fold state (history ring, per-table CSR folds, path) is
-  /// copied from the live predictor at its first history-advancing record in
-  /// the window, then advanced through Direction::ShadowHistory::advance —
-  /// the SAME advance the demand path runs at the end of each update()/
-  /// track(), so the shadow's (ip, folded, table) Rt keys are exactly the
-  /// keys the per-branch loop will demand. Conditionals emit one request per
-  /// tagged table (covering both the Rt index and Rt tag); taken
-  /// unconditionals advance the shadow without emitting (they consume no Rt
-  /// keys, but skipping their history push would derail every later fold).
-  /// Mis-speculation discard is structural, exactly as for the GHR walk: a
-  /// wrong trace outcome yields folded keys the demand path never asks for,
-  /// so the ψ+key-tagged cache entries simply age out — zero stat pollution.
-  template <class RecAt>
-  void precompute_tage_n(std::size_t n, RecAt&& at) {
-    const tage::TageConfig& cfg = core_.direction().config();
-    auto& sh = tage_shadow_.sh;
-    auto& reqs = tage_shadow_.reqs;
-    reqs.clear();
-    reqs.reserve(n * cfg.num_tables);
-    bool seeded[2] = {false, false};
-    for (std::size_t i = 0; i < n; ++i) {
-      const bpu::BranchRecord& rec = at(i);
-      const bool conditional = rec.type == bpu::BranchType::kConditional;
-      // Not-taken unconditionals neither consume Rt keys nor advance the
-      // history — invisible to the walk, exactly as to the predictor.
-      if (!conditional && !rec.taken) continue;
-      const unsigned h = rec.ctx.hart & 1;
-      if (!seeded[h]) {
-        core_.direction().seed_shadow(sh[h], static_cast<std::uint8_t>(h));
-        seeded[h] = true;
-      }
-      if (conditional) {
-        for (unsigned t = 0; t < cfg.num_tables; ++t) {
-          const std::uint64_t fi = Direction::folded_key(sh[h], t, /*for_tag=*/false);
-          reqs.push_back(bpu::TageRtRequest{.ip = rec.ip,
-                                            .folded_index = fi,
-                                            .folded_tag = Direction::tag_key(fi),
-                                            .table = t,
-                                            .ctx = rec.ctx});
-        }
-      }
-      sh[h].advance(conditional ? rec.taken : true, rec.ip);
-    }
-    if (!reqs.empty()) mapping_.precompute_rt(reqs, cfg.index_bits, cfg.tag_bits);
-  }
-
-  /// Shadow fold state + request scratch for TAGE lookahead engines. The
-  /// nested struct is only completed when kTageLookahead selects it, so
-  /// non-TAGE directions never require Direction::ShadowHistory to exist.
-  struct TageShadowState {
-    typename Direction::ShadowHistory sh[2];
-    std::vector<bpu::TageRtRequest> reqs;
-  };
-  struct NoShadowState {};
-
   ModelSpec spec_;
   std::unique_ptr<core::STManager> stm_;
   std::unique_ptr<core::EventMonitor> monitor_;
@@ -309,9 +240,6 @@ class EngineT final : public bpu::IPredictor {
   std::string name_;
   std::uint64_t flushes_ = 0;
   std::vector<bpu::PredictRequest> reqs_;  ///< reused precompute scratch
-  [[no_unique_address]] std::conditional_t<kTageLookahead && kBatchMapping,
-                                           TageShadowState, NoShadowState>
-      tage_shadow_;
 };
 
 /// Build the devirtualized engine for `spec`. Drop-in IPredictor

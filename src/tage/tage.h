@@ -12,7 +12,9 @@
 //
 // Template over the mapping: with a concrete final mapping class every
 // per-table Rt index/tag computation inlines into the table walk — the
-// per-branch hot loop that dominates TAGE simulation cost.
+// per-branch hot loop that dominates TAGE simulation cost. Mappings with
+// the bpu::RtBatch capability compute all tables' Rt outputs (and the loop
+// tag) in one batched call per prediction instead.
 #pragma once
 
 #include <algorithm>
@@ -84,12 +86,8 @@ class TagePredictorT final : public bpu::IDirectionPredictor {
   }
 
   /// Per-hart global history with incrementally maintained folded values
-  /// (standard TAGE circular-shift-register folding). Public because the
-  /// batch-native lookahead (models::EngineT::precompute_n) replicates this
-  /// exact state in a shadow fold-forward walk: the fold update is a pure
-  /// deterministic function of the branch outcome, so a lookahead that
-  /// advances a *copy* of this state produces the identical (ip, folded)
-  /// Rt keys the demand path will ask for.
+  /// (standard TAGE circular-shift-register folding). Public so tests can
+  /// check the folds against a from-scratch fold (hart_state()).
   struct HartState {
     std::vector<std::uint8_t> history;  ///< circular buffer, newest at head
     unsigned head = 0;
@@ -116,9 +114,8 @@ class TagePredictorT final : public bpu::IDirectionPredictor {
     /// Advance by one resolved branch: push the outcome bit, refresh every
     /// table's folds (canonical TAGE circular folding: shift in the newest
     /// bit, XOR out the bit leaving the history window), fold the path. The
-    /// ONE implementation of history advance — update(), track() and the
-    /// shadow walk all run this, so the shadow can never drift from the
-    /// live predictor.
+    /// ONE implementation of history advance — update() and track() both
+    /// run this.
     void advance(bool taken, std::uint64_t ip) {
       const unsigned size = static_cast<unsigned>(history.size());
       head = head + 1 == size ? 0 : head + 1;
@@ -136,37 +133,22 @@ class TagePredictorT final : public bpu::IDirectionPredictor {
       path = (path << 1) ^ util::bits(ip, 2, 16);
     }
   };
-  /// A shadow copy of one hart's fold state (same type — seed_shadow
-  /// copies, ShadowHistory::advance walks forward).
-  using ShadowHistory = HartState;
-
-  /// Copy hart `hart`'s live fold state into `sh` (vector assignments reuse
-  /// `sh`'s capacity — per-window seeding does not allocate in steady state).
-  void seed_shadow(ShadowHistory& sh, std::uint8_t hart) const {
-    const HartState& hs = harts_[hart & 1];
-    sh.history = hs.history;
-    sh.head = hs.head;
-    sh.path = hs.path;
-    sh.fold_value = hs.fold_value;
-    sh.fold_back = hs.fold_back;
-    sh.fold_shift = hs.fold_shift;
-    sh.fold_comp = hs.fold_comp;
-    sh.fold_mask = hs.fold_mask;
+  /// Hart `hart`'s live history and fold state (read-only).
+  [[nodiscard]] const HartState& hart_state(std::uint8_t hart) const noexcept {
+    return harts_[hart & 1];
   }
 
-  /// The 64-bit folded-history key handed to the mapping's Rt functions for
-  /// `table`: both folds plus a path slice, packed exactly as the demand
-  /// path packs them (folded_for delegates here — one source of truth).
-  [[nodiscard]] static std::uint64_t folded_key(const HartState& hs, unsigned table,
-                                                bool for_tag) noexcept {
-    const std::uint64_t base = static_cast<std::uint64_t>(hs.fold_index_value(table)) |
-                               (static_cast<std::uint64_t>(hs.fold_tag_value(table)) << 20) |
-                               (util::bits(hs.path, 0, 12) << 44);
-    return for_tag ? tag_key(base) : base;
+  /// The 64-bit folded-history key handed to the mapping's Rt index for
+  /// `table`: both folds plus a path slice.
+  [[nodiscard]] static std::uint64_t folded_key(const HartState& hs,
+                                                unsigned table) noexcept {
+    return static_cast<std::uint64_t>(hs.fold_index_value(table)) |
+           (static_cast<std::uint64_t>(hs.fold_tag_value(table)) << 20) |
+           (util::bits(hs.path, 0, 12) << 44);
   }
 
-  /// Derive the tag-side packed key from the index-side one (callers that
-  /// need both avoid packing the base twice).
+  /// The Rt tag's key, derived from the index-side one (the tag pack
+  /// scrambles the base differently, by design).
   [[nodiscard]] static constexpr std::uint64_t tag_key(std::uint64_t base) noexcept {
     return base ^ (base >> 7) ^ 0x5A5AULL;
   }
@@ -194,8 +176,6 @@ class TagePredictorT final : public bpu::IDirectionPredictor {
     bool weak = false;
   };
 
-  [[nodiscard]] std::uint64_t folded_for(const HartState& hs, unsigned table,
-                                         bool for_tag) const;
   [[nodiscard]] std::uint32_t bimodal_index(std::uint64_t ip,
                                             const bpu::ExecContext& ctx) const;
   [[nodiscard]] std::uint32_t pht1_of(std::uint64_t ip, const bpu::ExecContext& ctx) const;
@@ -243,6 +223,9 @@ class TagePredictorT final : public bpu::IDirectionPredictor {
     std::vector<std::uint32_t> gi;
     std::vector<std::uint32_t> gtag;
     unsigned computed_from = 0;
+    // Per-table Rt index/tag keys staged for the batched mapping call.
+    std::vector<std::uint64_t> rt_index_key;
+    std::vector<std::uint64_t> rt_tag_key;
     // Lazily shared sub-keys (each otherwise computed 2-4x per branch).
     std::uint32_t pht1 = 0;
     std::uint32_t sc_row = 0;
@@ -314,13 +297,10 @@ TagePredictorT<Mapping>::TagePredictorT(const TageConfig& cfg, const Mapping* ma
   }
   scratch_.gi.resize(cfg_.num_tables);
   scratch_.gtag.resize(cfg_.num_tables);
-}
-
-template <class Mapping>
-std::uint64_t TagePredictorT<Mapping>::folded_for(const HartState& hs, unsigned table,
-                                                  bool for_tag) const {
-  // Pack both folds plus a path slice; the provider hashes everything.
-  return folded_key(hs, table, for_tag);
+  if constexpr (bpu::RtBatch<Mapping>) {
+    scratch_.rt_index_key.resize(cfg_.num_tables);
+    scratch_.rt_tag_key.resize(cfg_.num_tables);
+  }
 }
 
 template <class Mapping>
@@ -348,7 +328,11 @@ void TagePredictorT<Mapping>::loop_keys(std::uint64_t ip,
                                         const bpu::ExecContext& ctx) const {
   if (!scratch_.loop_keys_valid) {
     scratch_.loop_row = mapping_->perceptron_row(ip, 6, ctx) & 63;
-    scratch_.loop_tag = mapping_->tage_tag(ip, 0, 63, 10, ctx);
+    // A batching mapping already delivered the tag with find_matches' Rt batch.
+    if constexpr (!bpu::RtBatch<Mapping>) {
+      scratch_.loop_tag = mapping_->tage_tag(ip, 0, bpu::kTageLoopTagTable,
+                                             bpu::kTageLoopTagBits, ctx);
+    }
     scratch_.loop_keys_valid = true;
   }
 }
@@ -368,19 +352,34 @@ void TagePredictorT<Mapping>::find_matches(std::uint64_t ip, const bpu::ExecCont
   provider = {};
   alt = {};
   const HartState& hs = harts_[ctx.hart & 1];
+  const unsigned n = cfg_.num_tables;
+  if constexpr (bpu::RtBatch<Mapping>) {
+    // Every table's index and tag (and the loop tag) in one batched call.
+    for (unsigned t = 0; t < n; ++t) {
+      scratch_.rt_index_key[t] = folded_key(hs, t);
+      scratch_.rt_tag_key[t] = tag_key(scratch_.rt_index_key[t]);
+    }
+    mapping_->tage_rt_all(ip, scratch_.rt_index_key.data(), scratch_.rt_tag_key.data(), n,
+                          cfg_.index_bits, cfg_.tag_bits, scratch_.gi.data(),
+                          scratch_.gtag.data(),
+                          cfg_.use_loop_predictor ? &scratch_.loop_tag : nullptr, ctx);
+    scratch_.computed_from = 0;
+  } else {
+    scratch_.computed_from = n;
+  }
   const std::uint32_t index_mask = (1u << cfg_.index_bits) - 1;
-  scratch_.computed_from = cfg_.num_tables;
-  for (int t = static_cast<int>(cfg_.num_tables) - 1; t >= 0; --t) {
+  for (int t = static_cast<int>(n) - 1; t >= 0; --t) {
     const unsigned ut = static_cast<unsigned>(t);
-    const std::uint32_t idx =
-        mapping_->tage_index(ip, folded_for(hs, ut, false), ut, cfg_.index_bits, ctx) &
-        index_mask;
-    const std::uint32_t tag =
-        mapping_->tage_tag(ip, folded_for(hs, ut, true), ut, cfg_.tag_bits, ctx);
-    // Cache prediction-time index/tag for update()'s allocate/aging reuse.
-    scratch_.gi[ut] = idx;
-    scratch_.gtag[ut] = tag;
-    scratch_.computed_from = ut;
+    if constexpr (!bpu::RtBatch<Mapping>) {
+      // Cache prediction-time index/tag for update()'s allocate/aging reuse.
+      const std::uint64_t key = folded_key(hs, ut);
+      scratch_.gi[ut] =
+          mapping_->tage_index(ip, key, ut, cfg_.index_bits, ctx) & index_mask;
+      scratch_.gtag[ut] = mapping_->tage_tag(ip, tag_key(key), ut, cfg_.tag_bits, ctx);
+      scratch_.computed_from = ut;
+    }
+    const std::uint32_t idx = scratch_.gi[ut];
+    const std::uint32_t tag = scratch_.gtag[ut];
     const TaggedEntry& e = tables_[ut][idx];
     if (e.valid && e.tag == tag) {
       const TableMatch m{.table = t,

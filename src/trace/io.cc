@@ -5,6 +5,7 @@
 #include <cstring>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #if defined(__unix__) || defined(__APPLE__)
 #define STBPU_HAS_MMAP 1
@@ -38,7 +39,15 @@ struct FileCloser {
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
-bpu::BranchRecord unpack(const PackedRecord& p) {
+/// Decode record `index` of `path`. A type byte outside bpu::BranchType
+/// (a corrupt or foreign file) is rejected here, before it can reach a
+/// predictor's switch over branch types.
+bpu::BranchRecord unpack(const PackedRecord& p, std::uint64_t index, const std::string& path) {
+  constexpr unsigned kBranchTypes = static_cast<unsigned>(bpu::BranchType::kReturn) + 1;
+  if (p.type >= kBranchTypes) {
+    throw std::runtime_error("invalid branch type " + std::to_string(p.type) +
+                             " in trace record " + std::to_string(index) + ": " + path);
+  }
   bpu::BranchRecord r;
   r.ip = p.ip;
   r.target = p.target;
@@ -100,7 +109,7 @@ std::vector<bpu::BranchRecord> read_trace(const std::string& path) {
     if (std::fread(block, sizeof(PackedRecord), want, f.get()) != want) {
       throw std::runtime_error("truncated trace: " + path);
     }
-    for (std::size_t i = 0; i < want; ++i) out.push_back(unpack(block[i]));
+    for (std::size_t i = 0; i < want; ++i) out.push_back(unpack(block[i], out.size(), path));
     remaining -= want;
   }
   return out;
@@ -184,7 +193,7 @@ std::size_t FileStream::refill() {
     for (std::size_t i = 0; i < target; ++i) {
       PackedRecord p;
       std::memcpy(&p, src + i * sizeof(PackedRecord), sizeof(PackedRecord));
-      buffer_.push_back(unpack(p));
+      buffer_.push_back(unpack(p, consumed_ + i, path_));
     }
     return target;
   }
@@ -196,7 +205,9 @@ std::size_t FileStream::refill() {
     if (std::fread(block, sizeof(PackedRecord), want, file_.get()) != want) {
       throw std::runtime_error("truncated trace: " + path_);
     }
-    for (std::size_t i = 0; i < want; ++i) buffer_.push_back(unpack(block[i]));
+    for (std::size_t i = 0; i < want; ++i) {
+      buffer_.push_back(unpack(block[i], consumed_ + filled + i, path_));
+    }
     filled += want;
   }
   return filled;

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/remap.h"
+#include "tage/tage.h"
 #include "util/rng.h"
 
 namespace stbpu::core {
@@ -156,6 +157,69 @@ TEST(MixBatch, RemapperHelpersMatchScalarFunctions) {
 
     const std::uint64_t mp = detail::mix(ip, 0, psi, Remapper::kTweakRp);
     EXPECT_EQ(Remapper::rp_from_mix(mp, 10), Remapper::rp(psi, ip, 10));
+  }
+}
+
+/// Remapper::rt_all must equal the per-table Rt functions lane for lane —
+/// every table's index and tag plus the loop tag riding in the spare tag
+/// lane — for `cfg`'s geometry, through the kernel UseAvx2 selects.
+template <bool UseAvx2>
+void expect_rt_all_matches_per_table(const tage::TageConfig& cfg, std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  const unsigned n = cfg.num_tables;
+  std::vector<std::uint64_t> index_keys(n), tag_keys(n);
+  std::vector<std::uint32_t> idx(n), tag(n);
+  for (int i = 0; i < 2000; ++i) {
+    const std::uint32_t psi = static_cast<std::uint32_t>(rng());
+    const std::uint64_t ip = rng();  // high bits must be masked away
+    for (unsigned t = 0; t < n; ++t) {
+      // Real folded keys occupy bits 0..55; mix in adversarial words too.
+      index_keys[t] = i % 7 == 0 ? adversarial_words()[t % 12] & util::mask(56)
+                                 : rng() & util::mask(56);
+      tag_keys[t] = tage::TagePredictor::tag_key(index_keys[t]);
+    }
+    std::uint32_t loop_tag = 0;
+    Remapper::rt_all<UseAvx2>(psi, ip, index_keys.data(), tag_keys.data(), n,
+                              cfg.index_bits, cfg.tag_bits, idx.data(), tag.data(),
+                              &loop_tag);
+    for (unsigned t = 0; t < n; ++t) {
+      ASSERT_EQ(idx[t], Remapper::rt_index(psi, ip, index_keys[t], t, cfg.index_bits))
+          << cfg.name << " index lane " << t;
+      ASSERT_EQ(tag[t], Remapper::rt_tag(psi, ip, tag_keys[t], t, cfg.tag_bits))
+          << cfg.name << " tag lane " << t;
+    }
+    ASSERT_EQ(loop_tag, Remapper::rt_tag(psi, ip, 0, bpu::kTageLoopTagTable,
+                                         bpu::kTageLoopTagBits))
+        << cfg.name << " loop tag lane";
+
+    // Without a loop tag the table lanes are unchanged.
+    std::vector<std::uint32_t> idx2(n), tag2(n);
+    Remapper::rt_all<UseAvx2>(psi, ip, index_keys.data(), tag_keys.data(), n,
+                              cfg.index_bits, cfg.tag_bits, idx2.data(), tag2.data(),
+                              nullptr);
+    ASSERT_EQ(idx2, idx) << cfg.name;
+    ASSERT_EQ(tag2, tag) << cfg.name;
+  }
+}
+
+TEST(MixBatch, RtAllMatchesPerTableRtKb8) {
+  expect_rt_all_matches_per_table<true>(tage::TageConfig::kb8(), 0x8B);
+  expect_rt_all_matches_per_table<false>(tage::TageConfig::kb8(), 0x8C);
+}
+
+TEST(MixBatch, RtAllMatchesPerTableRtKb64) {
+  expect_rt_all_matches_per_table<true>(tage::TageConfig::kb64(), 0x64);
+  expect_rt_all_matches_per_table<false>(tage::TageConfig::kb64(), 0x65);
+}
+
+TEST(MixBatch, RtAllCoversEveryLanePaddingAndTheScalarFallback) {
+  // Table counts on both sides of every padding boundary, and past the
+  // kernel's lane capacity (the per-table fallback).
+  for (unsigned n : {1u, 3u, 4u, 7u, 8u, 11u, 12u, 15u, 16u, 20u}) {
+    tage::TageConfig cfg = tage::TageConfig::kb64();
+    cfg.num_tables = n;
+    expect_rt_all_matches_per_table<true>(cfg, 0x100 + n);
+    expect_rt_all_matches_per_table<false>(cfg, 0x200 + n);
   }
 }
 

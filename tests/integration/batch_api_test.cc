@@ -5,7 +5,10 @@
 //     without perturbing a single statistic;
 //   * the mapping-level probe/fill never creates secret tokens (token
 //     creation order is architectural state) and drops foreign-context
-//     requests.
+//     requests;
+//   * TAGE engines do no lookahead work: their batched Rt call fetches ψ
+//     exactly where the per-table calls did, so token creation order is
+//     unchanged.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -174,39 +177,32 @@ TEST(BatchApi, ReplayPrecomputePathMatchesScalarSimulate) {
     const auto off_stats = models::replay_engine(*off_engine, s3, opt_off);
     EXPECT_EQ(scalar_stats, off_stats) << models::to_string(dir) << " (precompute off)";
 
-    // History-keyed engines have compulsory misses worth batching — they
-    // must actually batch (SKLCond through the PredictRequest path, TAGE
-    // through the TageRtRequest shadow-fold path); the perceptron must pay
-    // zero precompute overhead (engine-level no-op).
+    // SKLCond's GHR-keyed R4 has compulsory misses worth batching — it
+    // must actually batch. TAGE batches its Rt keys per access instead (no
+    // Rt memo lookups, no lookahead), and the perceptron pays zero
+    // precompute overhead (engine-level no-op).
     const auto cache = models::engine_remap_cache_stats(*batch_engine);
     const auto cache_off = models::engine_remap_cache_stats(*off_engine);
     EXPECT_EQ(cache_off.batch_requests, 0u) << models::to_string(dir);
-    EXPECT_EQ(cache_off.batch_rt_requests, 0u) << models::to_string(dir);
     if (dir == models::DirectionKind::kSklCond) {
       EXPECT_GT(cache.batch_requests, 0u) << models::to_string(dir);
       EXPECT_GT(cache.batch_fills, 0u) << models::to_string(dir);
-    } else if (dir == models::DirectionKind::kTage8 ||
-               dir == models::DirectionKind::kTage64) {
-      EXPECT_EQ(cache.batch_requests, 0u) << models::to_string(dir);
-      EXPECT_GT(cache.batch_rt_requests, 0u) << models::to_string(dir);
-      EXPECT_GT(cache.fn_batch_fills[core::RemapCacheStats::kRtIndex], 0u)
-          << models::to_string(dir);
-      EXPECT_GT(cache.fn_batch_fills[core::RemapCacheStats::kRtTag], 0u)
-          << models::to_string(dir);
     } else {
       EXPECT_EQ(cache.batch_requests, 0u) << models::to_string(dir);
-      EXPECT_EQ(cache.batch_rt_requests, 0u) << models::to_string(dir);
+      EXPECT_EQ(cache.batch_fills, 0u) << models::to_string(dir);
+    }
+    for (const auto f : {core::RemapCacheStats::kRtIndex, core::RemapCacheStats::kRtTag}) {
+      EXPECT_EQ(cache.fn_hits[f] + cache.fn_misses[f], 0u) << models::to_string(dir);
     }
   }
 }
 
 TEST(BatchApi, WrongOutcomeTagePrecomputeIsDiscardedWithoutStatPollution) {
-  // TAGE rendering of the adversarial-lookahead contract: the shadow
-  // fold-forward walk consumes trace outcomes, so a mis-speculated window
-  // derails every subsequent folded key for the hart. Feed precompute a
-  // copy of each chunk with randomly flipped outcomes (and types) — the
-  // wrong folded keys never match a demand lookup, so every statistic must
-  // stay bit-identical to the clean run.
+  // TAGE rendering of the adversarial-lookahead contract. TAGE engines
+  // batch their Rt keys at predict time and have no lookahead, so
+  // precompute_records must be inert: feeding it each chunk with randomly
+  // flipped outcomes must leave every statistic bit-identical to the clean
+  // run and warm nothing.
   const auto records = test_trace(40'000);
   for (const auto dir : {models::DirectionKind::kTage8, models::DirectionKind::kTage64}) {
     const models::ModelSpec spec{.model = models::ModelKind::kStbpu, .direction = dir};
@@ -225,75 +221,62 @@ TEST(BatchApi, WrongOutcomeTagePrecomputeIsDiscardedWithoutStatPollution) {
       hostile_stats = replay_with(
           e, records, 64,
           [&rng](auto& eng, const bpu::BranchRecord* run, std::size_t n) {
-            if constexpr (std::remove_reference_t<decltype(eng)>::kBatchPrecompute) {
-              std::vector<bpu::BranchRecord> wrong(run, run + n);
-              for (auto& rec : wrong) {
-                if ((rng() & 1) != 0) rec.taken = !rec.taken;  // wrong on purpose
-              }
-              eng.precompute_records(std::span<const bpu::BranchRecord>(wrong));
+            std::vector<bpu::BranchRecord> wrong(run, run + n);
+            for (auto& rec : wrong) {
+              if ((rng() & 1) != 0) rec.taken = !rec.taken;  // wrong on purpose
             }
+            eng.precompute_records(std::span<const bpu::BranchRecord>(wrong));
           });
     }));
     EXPECT_EQ(clean_stats, hostile_stats)
         << "hostile TAGE precompute leaked into statistics (dir="
         << models::to_string(dir) << ")";
+    const auto cache = models::engine_remap_cache_stats(*hostile);
+    EXPECT_EQ(cache.batch_requests, 0u) << models::to_string(dir);
+    EXPECT_EQ(cache.batch_fills, 0u) << models::to_string(dir);
   }
 }
 
-TEST(BatchApi, MappingPrecomputeRtNeverCreatesTokens) {
-  core::STManager stm(0x5678);
-  const core::CachedStbpuMapping mapping(&stm);
-  const bpu::ExecContext ctx{.pid = 9, .hart = 0, .kernel = false};
-  constexpr unsigned kIndexBits = 10, kTagBits = 8;
-
-  std::vector<bpu::TageRtRequest> reqs;
-  for (std::uint64_t i = 0; i < 24; ++i) {
-    reqs.push_back(bpu::TageRtRequest{.ip = 0x4000 + i * 16,
-                                      .folded_index = 0x111 * i,
-                                      .folded_tag = (0x111 * i) ^ 0x5A5A,
-                                      .table = static_cast<std::uint32_t>(i % 6),
-                                      .ctx = ctx});
+TEST(BatchApi, RtBatchKeepsTokenCreationOrder) {
+  // tage_rt_all fetches ψ through the demand path's token(ctx), once per
+  // access, exactly where the first per-table tage_index call did. Driving
+  // the same entity sequence through tage_rt_all on one manager and
+  // through per-table tage_index/tage_tag on another must create the same
+  // tokens in the same order — including across a forced re-key — and
+  // produce the same Rt outputs.
+  core::STManager batch_stm(0x5678), table_stm(0x5678);
+  const core::CachedStbpuMapping batch_map(&batch_stm), table_map(&table_stm);
+  constexpr unsigned kTables = 10, kIndexBits = 13, kTagBits = 12;
+  std::uint64_t index_keys[kTables], tag_keys[kTables];
+  for (unsigned t = 0; t < kTables; ++t) {
+    index_keys[t] = 0x1234567ULL * (t + 1);
+    tag_keys[t] = index_keys[t] ^ 0x5A5A;
   }
-
-  // No token established yet: the whole span must drop without asking the
-  // STManager to create one (same PRNG draw sequence as a fresh manager).
-  mapping.precompute_rt(std::span<const bpu::TageRtRequest>(reqs), kIndexBits, kTagBits);
-  EXPECT_EQ(mapping.stats().batch_rt_requests, reqs.size());
-  EXPECT_EQ(mapping.stats().batch_drops, reqs.size());
-  EXPECT_EQ(mapping.stats().batch_fills, 0u);
-  core::STManager fresh(0x5678);
-  EXPECT_EQ(stm.token(ctx).psi, fresh.token(ctx).psi)
-      << "precompute_rt changed the token creation order";
-
-  // One demand access establishes the token; the same span now fills both
-  // Rt caches, and demand lookups then serve Remapper-identical values
-  // without missing.
-  (void)mapping.tage_index(0x9999, 0, 0, kIndexBits, ctx);
-  mapping.precompute_rt(std::span<const bpu::TageRtRequest>(reqs), kIndexBits, kTagBits);
-  EXPECT_GT(mapping.stats().fn_batch_fills[core::RemapCacheStats::kRtIndex], 0u);
-  EXPECT_GT(mapping.stats().fn_batch_fills[core::RemapCacheStats::kRtTag], 0u);
-
-  const std::uint32_t psi = stm.token(ctx).psi;
-  const auto idx_misses = mapping.stats().fn_misses[core::RemapCacheStats::kRtIndex];
-  const auto tag_misses = mapping.stats().fn_misses[core::RemapCacheStats::kRtTag];
-  for (const auto& q : reqs) {
-    EXPECT_EQ(mapping.tage_index(q.ip, q.folded_index, q.table, kIndexBits, ctx),
-              core::Remapper::rt_index(psi, q.ip, q.folded_index, q.table, kIndexBits));
-    EXPECT_EQ(mapping.tage_tag(q.ip, q.folded_tag, q.table, kTagBits, ctx),
-              core::Remapper::rt_tag(psi, q.ip, q.folded_tag, q.table, kTagBits));
+  util::Xoshiro256 rng(0x70C);
+  for (int i = 0; i < 400; ++i) {
+    const bpu::ExecContext ctx{.pid = static_cast<std::uint16_t>(1 + rng.below(40)),
+                               .hart = static_cast<std::uint8_t>(rng() & 1),
+                               .kernel = rng.chance(0.1)};
+    const std::uint64_t ip = 0x400000 + (rng() & 0xFFF0);
+    std::uint32_t idx[kTables], tag[kTables], loop_tag = 0;
+    batch_map.tage_rt_all(ip, index_keys, tag_keys, kTables, kIndexBits, kTagBits, idx, tag,
+                          &loop_tag, ctx);
+    for (unsigned t = 0; t < kTables; ++t) {
+      ASSERT_EQ(idx[t], table_map.tage_index(ip, index_keys[t], t, kIndexBits, ctx)) << i;
+      ASSERT_EQ(tag[t], table_map.tage_tag(ip, tag_keys[t], t, kTagBits, ctx)) << i;
+    }
+    ASSERT_EQ(loop_tag, table_map.tage_tag(ip, 0, bpu::kTageLoopTagTable,
+                                           bpu::kTageLoopTagBits, ctx))
+        << i;
+    if (i == 200) {
+      batch_stm.rerandomize(ctx);
+      table_stm.rerandomize(ctx);
+    }
   }
-  EXPECT_EQ(mapping.stats().fn_misses[core::RemapCacheStats::kRtIndex], idx_misses)
-      << "demand path missed despite Rt precompute";
-  EXPECT_EQ(mapping.stats().fn_misses[core::RemapCacheStats::kRtTag], tag_misses)
-      << "demand path missed despite Rt precompute";
-
-  // Foreign contexts are dropped request by request.
-  const std::uint64_t drops_before = mapping.stats().batch_drops;
-  std::vector<bpu::TageRtRequest> foreign = reqs;
-  for (auto& q : foreign) q.ctx.pid = 10;
-  mapping.precompute_rt(std::span<const bpu::TageRtRequest>(foreign), kIndexBits,
-                        kTagBits);
-  EXPECT_EQ(mapping.stats().batch_drops, drops_before + foreign.size());
+  for (std::uint16_t pid = 0; pid < 64; ++pid) {
+    const bpu::ExecContext ctx{.pid = pid, .hart = 0, .kernel = false};
+    EXPECT_EQ(batch_stm.token(ctx).psi, table_stm.token(ctx).psi) << pid;
+  }
 }
 
 TEST(BatchApi, MappingPrecomputeNeverCreatesTokens) {

@@ -20,13 +20,22 @@
 namespace stbpu {
 namespace {
 
+std::uint64_t rerandomizations(bpu::IPredictor& engine) {
+  std::uint64_t n = 0;
+  models::visit_engine(engine, [&](auto& e) {
+    if (e.tokens() != nullptr) n = e.tokens()->rerandomizations();
+  });
+  return n;
+}
+
 trace::VectorStream make_trace(const char* profile_name, std::uint64_t branches) {
   trace::SyntheticWorkloadGenerator gen(trace::profile_by_name(profile_name));
   return trace::VectorStream(trace::collect(gen, branches));
 }
 
-void expect_equivalent(const models::ModelSpec& spec, trace::VectorStream& stream,
-                       const sim::BpuSimOptions& opt) {
+/// Returns the engine's ψ re-key count (0 for arms without tokens).
+std::uint64_t expect_equivalent(const models::ModelSpec& spec, trace::VectorStream& stream,
+                                const sim::BpuSimOptions& opt) {
   stream.reset();
   auto legacy = models::BpuModel::create(spec);
   const auto legacy_stats = sim::simulate_bpu(*legacy, stream, opt);
@@ -39,6 +48,7 @@ void expect_equivalent(const models::ModelSpec& spec, trace::VectorStream& strea
       << "stats diverge for " << models::to_string(spec.model) << "/"
       << models::to_string(spec.direction) << " (OAE legacy=" << legacy_stats.oae()
       << " engine=" << engine_stats.oae() << ")";
+  return rerandomizations(*engine);
 }
 
 TEST(EngineEquivalence, AllModelsAllDirectionsBitIdentical) {
@@ -67,6 +77,51 @@ TEST(EngineEquivalence, TokenKeyedArmsWithAggressiveRerandomization) {
                            .direction = models::DirectionKind::kSklCond};
     spec.rerand_difficulty_r = 1e-5;  // thresholds of a few events
     expect_equivalent(spec, stream, opt);
+  }
+}
+
+TEST(EngineEquivalence, StbpuTageUnderAggressiveRerandomization) {
+  // STBPU/TAGE engines compute every table's Rt index and tag in one
+  // batched mix per access; the legacy BpuModel makes the per-table calls.
+  // Tiny thresholds force re-keys mid-trace, and the server profile adds
+  // context switches, so ψ changes between and within entities.
+  for (const char* profile : {"mcf", "apache2_prefork_c32"}) {
+    auto stream = make_trace(profile, 80'000);
+    const sim::BpuSimOptions opt{.max_branches = 70'000, .warmup_branches = 10'000};
+    for (const auto dir : {models::DirectionKind::kTage8, models::DirectionKind::kTage64}) {
+      models::ModelSpec spec{.model = models::ModelKind::kStbpu, .direction = dir};
+      spec.rerand_difficulty_r = 1e-5;  // thresholds of a few events
+      EXPECT_GT(expect_equivalent(spec, stream, opt), 0u)
+          << profile << "/" << models::to_string(dir) << ": no re-key happened";
+    }
+  }
+}
+
+TEST(EngineEquivalence, StbpuTageSmtPairMatchesLegacy) {
+  // Two hardware threads share one STBPU/TAGE predictor (per-hart folds,
+  // one ψ per entity): the cycle-level core interleaves them, with
+  // aggressive re-keying on top.
+  for (const auto dir : {models::DirectionKind::kTage8, models::DirectionKind::kTage64}) {
+    models::ModelSpec spec{.model = models::ModelKind::kStbpu, .direction = dir};
+    spec.rerand_difficulty_r = 1e-5;
+    trace::SyntheticInstrGenerator l0(trace::profile_by_name("bwaves"));
+    trace::SyntheticInstrGenerator l1(trace::profile_by_name("mcf"));
+    auto legacy = models::BpuModel::create(spec);
+    sim::OooCore c1({}, legacy.get(), {&l0, &l1});
+    const auto r1 = c1.run(40'000, 4'000);
+
+    trace::SyntheticInstrGenerator e0(trace::profile_by_name("bwaves"));
+    trace::SyntheticInstrGenerator e1(trace::profile_by_name("mcf"));
+    auto engine = models::make_engine(spec);
+    sim::OooCore c2({}, engine.get(), {&e0, &e1});
+    const auto r2 = c2.run(40'000, 4'000);
+
+    ASSERT_EQ(r1.threads, 2u);
+    for (unsigned t = 0; t < 2; ++t) {
+      EXPECT_EQ(r1.branch_stats[t], r2.branch_stats[t]) << models::to_string(dir) << " t" << t;
+      EXPECT_DOUBLE_EQ(r1.ipc[t], r2.ipc[t]) << models::to_string(dir) << " t" << t;
+    }
+    EXPECT_GT(rerandomizations(*engine), 0u) << models::to_string(dir);
   }
 }
 

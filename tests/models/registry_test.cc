@@ -30,6 +30,11 @@ static_assert(!bpu::Invalidatable<core::CibpuMappingLogic>);
 static_assert(!bpu::Invalidatable<core::XorIsolationMappingLogic>);
 static_assert(bpu::BatchPrecompute<core::CachedStbpuMapping>);
 static_assert(!bpu::BatchPrecompute<core::CibpuMappingLogic>);
+static_assert(bpu::RtBatch<core::CachedStbpuMapping>);
+static_assert(!bpu::RtBatch<bpu::BaselineMappingLogic>);
+static_assert(!bpu::RtBatch<core::StbpuMapping>);  // legacy per-table oracle
+static_assert(!bpu::RtBatch<core::CibpuMappingLogic>);
+static_assert(!bpu::RtBatch<core::XorIsolationMappingLogic>);
 static_assert(bpu::StatsReporting<core::CachedStbpuMapping>);
 static_assert(!bpu::StatsReporting<bpu::BaselineMappingLogic>);
 

@@ -1,12 +1,10 @@
-// Folded-history correctness — the foundation the TAGE shadow lookahead
-// stands on. The incremental circular-shift-register fold maintained by
-// Folded::update must equal, at every point, the from-scratch fold of the
-// last L outcomes (closed form: the bit pushed j steps ago contributes one
-// bit at position j mod C; the outgoing XOR cancels it exactly at age L).
-// Covered across random outcome mixes, unconditional track()s, history-ring
-// wrap, flush_hart() resets and context switches; plus the shadow-walk
-// contract itself: seed_shadow + ShadowHistory::advance must replay the
-// live predictor's history advance bit for bit.
+// Folded-history correctness — the Rt keys of every TAGE table are built
+// from these folds. The incremental circular-shift-register fold maintained
+// by HartState::advance must equal, at every point, the from-scratch fold of
+// the last L outcomes (closed form: the bit pushed j steps ago contributes
+// one bit at position j mod C; the outgoing XOR cancels it exactly at age
+// L). Covered across random outcome mixes, unconditional track()s,
+// history-ring wrap, flush_hart() resets and context switches.
 #include "tage/tage.h"
 
 #include <gtest/gtest.h>
@@ -19,8 +17,6 @@
 
 namespace stbpu::tage {
 namespace {
-
-using Shadow = TagePredictor::ShadowHistory;
 
 /// From-scratch fold over the recorded outcome window (newest first).
 std::uint32_t fold_scratch(const std::deque<bool>& newest_first, unsigned L,
@@ -56,15 +52,14 @@ class TageFoldTest : public ::testing::TestWithParam<TageConfig> {
   }
 
   void expect_folds_match(unsigned hart, const char* where) {
-    Shadow sh;
-    pred_.seed_shadow(sh, static_cast<std::uint8_t>(hart));
+    const TagePredictor::HartState& hs = pred_.hart_state(static_cast<std::uint8_t>(hart));
     const TageConfig& cfg = pred_.config();
     for (unsigned t = 0; t < cfg.num_tables; ++t) {
       const unsigned L = pred_.history_lengths()[t];
-      EXPECT_EQ(sh.fold_index_value(t),
+      EXPECT_EQ(hs.fold_index_value(t),
                 fold_scratch(outcomes_[hart & 1], L, cfg.index_bits))
           << where << ": index fold, table " << t;
-      EXPECT_EQ(sh.fold_tag_value(t),
+      EXPECT_EQ(hs.fold_tag_value(t),
                 fold_scratch(outcomes_[hart & 1], L, cfg.tag_bits))
           << where << ": tag fold, table " << t;
     }
@@ -122,44 +117,6 @@ TEST_P(TageFoldTest, ContextSwitchesDoNotPerturbFolds) {
     if (i % 53 == 0) expect_folds_match(0, "churn");
   }
   expect_folds_match(0, "final");
-}
-
-TEST_P(TageFoldTest, ShadowWalkMatchesLiveAdvance) {
-  // The lookahead contract: copy the live fold state, advance the copy
-  // through the same records the predictor consumes, end bit-identical.
-  util::Xoshiro256 rng(99);
-  for (int i = 0; i < 500; ++i) {
-    step_conditional(0, 0x5000 + (rng() & 0xFF0), rng.chance(0.5));
-  }
-  Shadow sh;
-  pred_.seed_shadow(sh, 0);
-  for (int i = 0; i < 200; ++i) {
-    const std::uint64_t ip = 0x6000 + (rng() & 0xFF0);
-    if (rng.chance(0.8)) {
-      const bool taken = rng.chance(0.5);
-      step_conditional(0, ip, taken);
-      sh.advance(taken, ip);
-    } else {
-      step_unconditional(0, ip, true);
-      sh.advance(true, ip);
-    }
-  }
-  Shadow live;
-  pred_.seed_shadow(live, 0);
-  EXPECT_EQ(sh.head, live.head);
-  EXPECT_EQ(sh.path, live.path);
-  EXPECT_EQ(sh.history, live.history);
-  const TageConfig& cfg = pred_.config();
-  for (unsigned t = 0; t < cfg.num_tables; ++t) {
-    EXPECT_EQ(sh.fold_index_value(t), live.fold_index_value(t)) << t;
-    EXPECT_EQ(sh.fold_tag_value(t), live.fold_tag_value(t)) << t;
-    EXPECT_EQ(TagePredictor::folded_key(sh, t, false),
-              TagePredictor::folded_key(live, t, false))
-        << t;
-    EXPECT_EQ(TagePredictor::folded_key(sh, t, true),
-              TagePredictor::folded_key(live, t, true))
-        << t;
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Configs, TageFoldTest,

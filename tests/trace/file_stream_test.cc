@@ -6,6 +6,8 @@
 // memory.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -22,10 +24,19 @@
 namespace stbpu {
 namespace {
 
+/// A temp-file path unique to the running test and process: ctest runs
+/// every case as its own process, in parallel, so a shared name would let
+/// one case's TearDown delete the file another case is reading.
+std::string unique_temp_path(const char* suffix) {
+  const ::testing::TestInfo* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + info->test_suite_name() + "." + info->name() + "." +
+         std::to_string(::getpid()) + suffix;
+}
+
 class FileStreamTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "file_stream_test.trace";
+    path_ = unique_temp_path(".trace");
     trace::SyntheticWorkloadGenerator gen(trace::profile_by_name("mcf"));
     // Deliberately NOT a multiple of kDefaultBatch: the tail block is the
     // interesting read.
@@ -160,7 +171,7 @@ TEST_F(FileStreamTest, MmapModeReproducesEveryConsumptionPath) {
 TEST(FileStreamErrors, MmapRejectsHeaderThatOverpromises) {
   // A header claiming more records than the file holds must fail at open
   // in mmap mode (the fread path reports the same file as truncated later).
-  const std::string path = ::testing::TempDir() + "overpromise.trace";
+  const std::string path = unique_temp_path(".trace");
   trace::SyntheticWorkloadGenerator gen(trace::profile_by_name("mcf"));
   ASSERT_TRUE(trace::write_trace(path, trace::collect(gen, 100)));
   std::FILE* f = std::fopen(path.c_str(), "r+b");
@@ -178,13 +189,52 @@ TEST(FileStreamErrors, MmapRejectsHeaderThatOverpromises) {
 TEST(FileStreamErrors, MissingAndMalformedFiles) {
   EXPECT_THROW(trace::FileStream("/nonexistent/trace.bin"), std::runtime_error);
 
-  const std::string bad = ::testing::TempDir() + "bad_header.trace";
+  const std::string bad = unique_temp_path(".trace");
   std::FILE* f = std::fopen(bad.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   std::fputs("garbage", f);
   std::fclose(f);
   EXPECT_THROW(trace::FileStream{bad}, std::runtime_error);
   std::remove(bad.c_str());
+}
+
+TEST(FileStreamErrors, CorruptTypeByteNamesTheRecord) {
+  // A type byte outside bpu::BranchType must be rejected with an error that
+  // names the record, by read_trace and by both FileStream readers.
+  const std::string path = unique_temp_path(".trace");
+  trace::SyntheticWorkloadGenerator gen(trace::profile_by_name("mcf"));
+  ASSERT_TRUE(trace::write_trace(path, trace::collect(gen, 3000)));
+  constexpr long kRecord = 1234;
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  // 16-byte header, 24-byte records, type byte at offset 16 of a record.
+  std::fseek(f, 16 + kRecord * 24 + 16, SEEK_SET);
+  const unsigned char bad_type = 6;
+  std::fwrite(&bad_type, 1, 1, f);
+  std::fclose(f);
+
+  const auto expect_rejected = [](auto&& read, const char* reader) {
+    try {
+      read();
+      ADD_FAILURE() << reader << " accepted an invalid branch type";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("invalid branch type 6"), std::string::npos) << reader << ": " << what;
+      EXPECT_NE(what.find("record 1234"), std::string::npos) << reader << ": " << what;
+    }
+  };
+  expect_rejected([&] { (void)trace::read_trace(path); }, "read_trace");
+  const auto drain = [&](trace::FileStreamMode mode) {
+    trace::FileStream stream(path, mode);
+    bpu::BranchRecord r;
+    while (stream.next(r)) {
+    }
+  };
+  expect_rejected([&] { drain(trace::FileStreamMode::kBuffered); }, "buffered");
+#if defined(__unix__) || defined(__APPLE__)
+  expect_rejected([&] { drain(trace::FileStreamMode::kMmap); }, "mmap");
+#endif
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -2,8 +2,11 @@
 // stream utilities, binary IO.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <map>
+#include <string>
 
 #include "bpu/predictor.h"
 #include "trace/generator.h"
@@ -14,6 +17,14 @@
 
 namespace stbpu::trace {
 namespace {
+
+/// A temp-file path unique to the running test and process (ctest runs
+/// test cases as parallel processes).
+std::string unique_temp_path(const char* suffix) {
+  const ::testing::TestInfo* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + info->test_suite_name() + "." + info->name() + "." +
+         std::to_string(::getpid()) + suffix;
+}
 
 TEST(Profiles, RegistrySizesMatchPaper) {
   EXPECT_EQ(spec2017_profiles().size(), 23u);       // Figure 3 SPEC block
@@ -197,7 +208,7 @@ TEST(Streams, VectorStreamReplays) {
 TEST(TraceIo, RoundTrips) {
   SyntheticWorkloadGenerator gen(profile_by_name("xz"));
   const auto records = collect(gen, 2000);
-  const std::string path = "/tmp/stbpu_io_test.trace";
+  const std::string path = unique_temp_path(".trace");
   ASSERT_TRUE(write_trace(path, records));
   const auto loaded = read_trace(path);
   ASSERT_EQ(loaded.size(), records.size());
@@ -212,7 +223,7 @@ TEST(TraceIo, RoundTrips) {
 }
 
 TEST(TraceIo, RejectsGarbage) {
-  const std::string path = "/tmp/stbpu_io_bad.trace";
+  const std::string path = unique_temp_path(".trace");
   std::FILE* f = std::fopen(path.c_str(), "wb");
   std::fputs("not a trace", f);
   std::fclose(f);
