@@ -98,7 +98,7 @@ class SklCondPredictorT final : public IDirectionPredictor {
       const bool other_pred = use_2level ? p1 : p2;
       if (other_pred == taken) pht_.update(other, taken);
     }
-    ghr_[ctx.hart].push(taken);
+    ghr_[ctx.hart & 1].push(taken);
   }
 
   void flush() override {
@@ -135,17 +135,8 @@ class SklCondPredictorT final : public IDirectionPredictor {
     return indexes(ip, ctx);
   }
   [[nodiscard]] Indexes indexes(std::uint64_t ip, const ExecContext& ctx) const {
-    std::uint32_t i1, i2;
-    if constexpr (requires(const Mapping& m) { m.pht_indexes(ip, 0ULL, ctx); }) {
-      // Remap-aware mappings expose a fused R3+R4 probe (identical values,
-      // one lookup) — only reachable through the devirtualized engine.
-      const auto pair = mapping_->pht_indexes(ip, ghr_[ctx.hart & 1].value(), ctx);
-      i1 = pair.i1;
-      i2 = pair.i2;
-    } else {
-      i1 = mapping_->pht_index_1level(ip, ctx);
-      i2 = mapping_->pht_index_2level(ip, ghr_[ctx.hart & 1].value(), ctx);
-    }
+    const std::uint32_t i1 = mapping_->pht_index_1level(ip, ctx);
+    const std::uint32_t i2 = mapping_->pht_index_2level(ip, ghr_[ctx.hart & 1].value(), ctx);
     // Choice is addressed through the (remapped) 1-level index so STBPU
     // randomizes it too.
     const std::uint32_t ci = i1 & ((1u << kChoiceBits) - 1);

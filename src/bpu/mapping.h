@@ -40,7 +40,7 @@ struct BtbIndex;
 // satisfy MappingCore — the nine index/tag/codec functions of the paper's
 // Figure 1 + Table II, all callable on a const object (mappings are pure
 // between re-keys; mutable internals like memo-caches must be logically
-// const). The four capability concepts below are optional: the engine
+// const). The three capability concepts below are optional: the engine
 // detects them per arm and lights up the corresponding machinery, so a new
 // mapping opts in by simply providing the member. Registration
 // static_asserts MappingCore for every arm (see engine.h), turning a
@@ -71,14 +71,6 @@ concept MappingCore =
 /// must already be tagged/validated against re-keys).
 template <class M>
 concept Invalidatable = requires(const M m) { m.invalidate_all(); };
-
-/// Optional capability: the mapping implements the batch probe/fill layer
-/// (`precompute(span<PredictRequest>, PrecomputeSelect)` and friends) that
-/// the engine's lookahead walks feed — STBPU's memo-cached mapping today.
-/// Arms without it compute indexes in a handful of cycles and the engine's
-/// precompute compiles away to nothing.
-template <class M>
-concept BatchPrecompute = requires { typename M::PrecomputeSelect; };
 
 /// The TAGE loop predictor keys its tag through the Rt tag function with a
 /// zero history under this pseudo-table number and output width.

@@ -44,6 +44,10 @@ enum class BranchType : std::uint8_t {
          t == BranchType::kReturn;
 }
 
+/// The model supports at most 2-way SMT (Table IV): per-hart BPU state is
+/// sized for it, so ExecContext::hart must stay below it.
+inline constexpr unsigned kMaxSmtThreads = 2;
+
 /// Identifies the software entity executing a branch. STBPU assigns one
 /// secret token per entity requiring isolation (paper §IV): user processes
 /// are keyed by pid; the kernel is its own entity even though it shares the
@@ -63,21 +67,6 @@ struct BranchRecord {
   BranchType type = BranchType::kConditional;
   bool taken = true;  ///< always true for unconditional branches
   ExecContext ctx;
-};
-
-/// One queued prediction request of the batch-native front-end API: a
-/// branch the front end knows it will access soon, carried as the (ip,
-/// speculative GHR) pair that keys the remapping functions plus the
-/// context that selects the secret token. Engines precompute the keyed
-/// mixes for a whole span of these at once (models::EngineT::precompute);
-/// a request whose speculative GHR turns out wrong simply never matches at
-/// access time — the remap cache's tag check detects and discards it, so
-/// mis-speculated lookaheads cannot pollute prediction statistics.
-struct PredictRequest {
-  std::uint64_t ip = 0;
-  std::uint64_t ghr = 0;  ///< speculative GHR at predict time (R4 key); 0 if unused
-  ExecContext ctx;
-  BranchType type = BranchType::kConditional;
 };
 
 /// What the front end would do with this branch before resolution.

@@ -89,8 +89,7 @@ class STManager {
 
   /// True when `ctx`'s entity already holds a token. Unlike token() this
   /// never creates one — callers that must not perturb the lazy PRNG draw
-  /// order (lookahead, the tenant service's save-on-recycle) probe with
-  /// this first.
+  /// order (the tenant service's save-on-recycle) probe with this first.
   [[nodiscard]] bool has_token(const bpu::ExecContext& ctx) const {
     if (ctx.kernel) return true;
     const std::uint16_t g = group_of(ctx.pid);

@@ -60,23 +60,15 @@ inline models::ModelSpec apply_spec_overrides(models::ModelSpec mspec,
 
 /// The `--cache-stats` side channel: per-function remap memo-cache counters
 /// attached to a measurement point, so a BENCH_*.json consumer can
-/// attribute batching wins (probe hits, compacted-miss batch fills, drops)
-/// instead of inferring them from throughput deltas.
+/// attribute memoization wins instead of inferring them from throughput
+/// deltas.
 inline void append_cache_stats(PointResult& p, const core::RemapCacheStats& s) {
   p.set("cache_hits", s.hits)
       .set("cache_misses", s.misses)
-      .set("cache_invalidations", s.invalidations)
-      .set("cache_batch_requests", s.batch_requests)
-      .set("cache_batch_drops", s.batch_drops)
-      .set("cache_batch_probe_hits", s.batch_probe_hits)
-      .set("cache_batch_fills", s.batch_fills);
+      .set("cache_invalidations", s.invalidations);
   for (unsigned f = 0; f < core::RemapCacheStats::kFnCount; ++f) {
     const std::string base = std::string("cache_") + core::RemapCacheStats::fn_name(f);
     p.set(base + "_hits", s.fn_hits[f]).set(base + "_misses", s.fn_misses[f]);
-    if (s.fn_batch_fills[f] != 0) p.set(base + "_batch_fills", s.fn_batch_fills[f]);
-    if (s.fn_batch_probe_hits[f] != 0) {
-      p.set(base + "_batch_probe_hits", s.fn_batch_probe_hits[f]);
-    }
   }
 }
 

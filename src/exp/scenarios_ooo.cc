@@ -32,7 +32,7 @@ namespace {
 // (profile, seed) instruction stream; at CI/quick scales the stream is a
 // pregenerated whole-run SoA artifact shared across arms, repetitions and
 // sweep points (trace::shared_instr_trace — generated once per process),
-// which the cores consume zero-copy through their lookahead windows. Very
+// which the cores consume zero-copy through their fetch windows. Very
 // large budgets fall back to on-the-fly generation (a paper-scale 100M
 // instruction artifact would be several GB); records are bit-identical
 // either way, so the fallback changes wall-clock only.
@@ -42,7 +42,7 @@ constexpr std::uint64_t kPregenMaxInstrs = 4'000'000;
 
 std::uint64_t pregen_instr_count(const ExperimentSpec& spec) {
   // Upper bound on per-thread consumption: warm-up + measured budget plus
-  // the lookahead window's prefetch slack (frontend_depth × width, far
+  // the fetch window's prefetch slack (frontend_depth × width, far
   // below 4096 for any config used here). The cores stop at their budgets,
   // so a stream at least this long is indistinguishable from an infinite
   // generator.
@@ -230,16 +230,11 @@ class Fig4Scenario final : public ScenarioBase {
       const double branches =
           static_cast<double>(opt.warmup_branches + opt.max_branches);
 
-      // Interleave repetitions of all three arms and keep each arm's best
-      // time; every repetition rebuilds its model so all start cold. The
-      // third arm replays the same devirtualized engine binary with window
-      // precompute disabled (BpuSimOptions::precompute = false), so
-      // precompute_speedup is a same-binary A/B of the batch pipeline.
-      double legacy_secs = 1e300, devirt_secs = 1e300, noprec_secs = 1e300;
+      // Interleave repetitions of both arms and keep each arm's best time;
+      // every repetition rebuilds its model so all start cold.
+      double legacy_secs = 1e300, devirt_secs = 1e300;
       core::RemapCacheStats cache_stats;
-      sim::BranchStats legacy_stats, devirt_stats, noprec_stats;
-      sim::BpuSimOptions opt_off = opt;
-      opt_off.precompute = false;
+      sim::BranchStats legacy_stats, devirt_stats;
       for (unsigned rep = 0; rep < 3; ++rep) {
         stream.reset();
         auto legacy = models::BpuModel::create(mspec);
@@ -255,27 +250,16 @@ class Fig4Scenario final : public ScenarioBase {
         if (rep == 0) {
           cache_stats = models::engine_remap_cache_stats(*engine);
         }
-
-        stream.reset();
-        auto off_engine = models::make_engine(mspec);
-        sw.restart();
-        noprec_stats = models::replay_engine(*off_engine, stream, opt_off);
-        noprec_secs = std::min(noprec_secs, std::max(sw.seconds(), 1e-9));
       }
       const double legacy_bps = branches / legacy_secs;
       const double devirt_bps = branches / devirt_secs;
-      const double noprec_bps = branches / noprec_secs;
-      const bool identical =
-          legacy_stats == devirt_stats && legacy_stats == noprec_stats;
       p.set("section", "throughput")
           .set("legacy_branches_per_sec", legacy_bps)
           .set("devirt_branches_per_sec", devirt_bps)
-          .set("noprecompute_branches_per_sec", noprec_bps)
           .set("branches_per_sec", devirt_bps)
           .set("speedup", devirt_bps / legacy_bps)
-          .set("precompute_speedup", devirt_bps / noprec_bps)
           .set("remap_cache_hit_rate", cache_stats.hit_rate())
-          .set("identical_stats", identical ? "true" : "false");
+          .set("identical_stats", legacy_stats == devirt_stats ? "true" : "false");
       if (spec.cache_stats) append_cache_stats(p, cache_stats);
       return p;
     }
@@ -588,11 +572,9 @@ class OooEngineScenario final : public ScenarioBase {
         {.model = kThroughputModels[index], .direction = kThroughputDirs[index]}, spec);
     const auto profile = trace::profile_by_name("mcf");
 
-    // Interleaved best-of-3 (fresh engine + stream per repetition), five
+    // Interleaved best-of-3 (fresh engine + stream per repetition), four
     // arms: the interface-typed tick core, the engine-typed tick core
-    // through for_each_engine — with its lookahead front end (the shipping
-    // configuration) and without it (attributing the front-end batching
-    // separately from devirtualization) — the engine-typed double-precision
+    // through for_each_engine, the engine-typed double-precision
     // reference core (OooCoreRefT), the controlled A/B for the integer-tick
     // + SoA rewrite (`int_speedup`), and the pregenerated-stream arm: the
     // identical engine-typed tick core fed by a cursor over the shared
@@ -601,10 +583,8 @@ class OooEngineScenario final : public ScenarioBase {
     // exactly what pregeneration removes; the artifact itself is built once
     // per process, outside every stopwatch, and reused across arms, reps
     // and sweep points).
-    double iface_secs = 1e300, typed_secs = 1e300, nola_secs = 1e300, ref_secs = 1e300,
-           pregen_secs = 1e300;
-    sim::OooResult iface_result{}, typed_result{}, nola_result{}, ref_result{},
-        pregen_result{};
+    double iface_secs = 1e300, typed_secs = 1e300, ref_secs = 1e300, pregen_secs = 1e300;
+    sim::OooResult iface_result{}, typed_result{}, ref_result{}, pregen_result{};
     core::RemapCacheStats cache_stats;
     const bool pregen = pregen_enabled(spec);
     std::shared_ptr<const trace::InstrTrace> pregen_trace;
@@ -630,15 +610,6 @@ class OooEngineScenario final : public ScenarioBase {
         if (rep == 0) {
           cache_stats = models::engine_remap_cache_stats(engine);
         }
-      });
-      for_each_engine(mspec, [&](auto& engine) {
-        trace::SyntheticInstrGenerator gen(profile);
-        sim::OooConfig cfg;
-        cfg.lookahead = false;
-        Stopwatch sw;
-        nola_result = sim::run_ooo(cfg, engine, {&gen}, spec.scale.ooo_instructions,
-                                   spec.scale.ooo_warmup);
-        nola_secs = std::min(nola_secs, std::max(sw.seconds(), 1e-9));
       });
       for_each_engine(mspec, [&](auto& engine) {
         trace::SyntheticInstrGenerator gen(profile);
@@ -670,7 +641,6 @@ class OooEngineScenario final : public ScenarioBase {
     const double branches = static_cast<double>(typed_result.combined_stats().branches);
     const double iface_bps = branches / iface_secs;
     const double typed_bps = branches / typed_secs;
-    const double nola_bps = branches / nola_secs;
     const double ref_bps = branches / ref_secs;
     const double pregen_bps = branches / pregen_secs;
     // Every arm must be bit-identical in everything the simulation
@@ -684,10 +654,6 @@ class OooEngineScenario final : public ScenarioBase {
         iface_result.cycles == typed_result.cycles &&
         iface_result.cache == typed_result.cache &&
         iface_result.stalls == typed_result.stalls &&
-        nola_result.combined_stats() == typed_result.combined_stats() &&
-        nola_result.cycles == typed_result.cycles &&
-        nola_result.cache == typed_result.cache &&
-        nola_result.stalls == typed_result.stalls &&
         ref_result.combined_stats() == typed_result.combined_stats() &&
         ref_result.instructions == typed_result.instructions &&
         ref_result.cycles == typed_result.cycles &&
@@ -700,12 +666,10 @@ class OooEngineScenario final : public ScenarioBase {
     PointResult p;
     p.set("iface_branches_per_sec", iface_bps)
         .set("typed_branches_per_sec", typed_bps)
-        .set("typed_nolookahead_branches_per_sec", nola_bps)
         .set("ref_double_branches_per_sec", ref_bps)
         .set("pregen_branches_per_sec", pregen_bps)
         .set("branches_per_sec", typed_bps)
         .set("speedup", typed_bps / iface_bps)
-        .set("lookahead_speedup", typed_bps / nola_bps)
         .set("int_speedup", typed_bps / ref_bps)
         .set("gen_speedup", pregen_bps / typed_bps)
         .set("pregen_mode", pregen ? "artifact" : "generator-fallback")

@@ -15,19 +15,18 @@ namespace {
 template <class Mapping>
 std::unique_ptr<bpu::IPredictor> with_direction(
     const ModelSpec& spec, const bpu::CorePredictorConfig& cfg,
-    std::unique_ptr<core::STManager> stm, std::unique_ptr<core::EventMonitor> monitor,
-    Mapping mapping) {
+    std::unique_ptr<core::STManager> stm, std::unique_ptr<core::EventMonitor> monitor) {
   switch (spec.direction) {
     case DirectionKind::kSklCond: {
       using Dir = bpu::SklCondPredictorT<Mapping>;
       return std::make_unique<EngineT<Mapping, Dir>>(
-          spec, cfg, std::move(stm), std::move(monitor), std::move(mapping),
+          spec, cfg, std::move(stm), std::move(monitor),
           [](const Mapping* m) { return std::make_unique<Dir>(m); });
     }
     case DirectionKind::kTage8: {
       using Dir = tage::TagePredictorT<Mapping>;
       return std::make_unique<EngineT<Mapping, Dir>>(
-          spec, cfg, std::move(stm), std::move(monitor), std::move(mapping),
+          spec, cfg, std::move(stm), std::move(monitor),
           [&spec](const Mapping* m) {
             return std::make_unique<Dir>(tage::TageConfig::kb8(), m, spec.seed);
           });
@@ -35,7 +34,7 @@ std::unique_ptr<bpu::IPredictor> with_direction(
     case DirectionKind::kTage64: {
       using Dir = tage::TagePredictorT<Mapping>;
       return std::make_unique<EngineT<Mapping, Dir>>(
-          spec, cfg, std::move(stm), std::move(monitor), std::move(mapping),
+          spec, cfg, std::move(stm), std::move(monitor),
           [&spec](const Mapping* m) {
             return std::make_unique<Dir>(tage::TageConfig::kb64(), m, spec.seed);
           });
@@ -43,7 +42,7 @@ std::unique_ptr<bpu::IPredictor> with_direction(
     case DirectionKind::kPerceptron: {
       using Dir = perceptron::PerceptronPredictorT<Mapping>;
       return std::make_unique<EngineT<Mapping, Dir>>(
-          spec, cfg, std::move(stm), std::move(monitor), std::move(mapping),
+          spec, cfg, std::move(stm), std::move(monitor),
           [](const Mapping* m) { return std::make_unique<Dir>(m); });
     }
   }
@@ -56,6 +55,8 @@ std::unique_ptr<bpu::IPredictor> with_direction(
 template <class Arm>
 std::unique_ptr<bpu::IPredictor> build_arm(const ModelSpec& spec) {
   using Mapping = typename Arm::mapping_type;
+  static_assert(std::is_constructible_v<Mapping, core::STManager*> == Arm::kTokenKeyed,
+                "EngineT builds token-keyed mappings over the ST manager");
   bpu::CorePredictorConfig cfg;
   if constexpr (Arm::kBtbSets != 0) cfg.btb.sets = Arm::kBtbSets;
   cfg.btb.partition_by_hart = Arm::kPartitionByHart;
@@ -65,11 +66,9 @@ std::unique_ptr<bpu::IPredictor> build_arm(const ModelSpec& spec) {
                                  spec.direction == DirectionKind::kTage64;
     auto monitor = std::make_unique<core::EventMonitor>(
         stm.get(), monitor_config_for(spec, separate_tagged));
-    Mapping mapping(stm.get());
-    return with_direction(spec, cfg, std::move(stm), std::move(monitor),
-                          std::move(mapping));
+    return with_direction<Mapping>(spec, cfg, std::move(stm), std::move(monitor));
   } else {
-    return with_direction(spec, cfg, nullptr, nullptr, Mapping{});
+    return with_direction<Mapping>(spec, cfg, nullptr, nullptr);
   }
 }
 

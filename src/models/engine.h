@@ -11,7 +11,7 @@
 // parametrized test/attack harnesses all iterate that list, so adding an
 // arm is a one-line edit here (plus a name row in models.cc). Registration
 // static_asserts the bpu::MappingCore concept, and the optional
-// capabilities (bpu::Invalidatable / BatchPrecompute / StatsReporting) are
+// capabilities (bpu::Invalidatable / RtBatch / StatsReporting) are
 // detected per arm — see bpu/mapping.h for the documented contract.
 //
 // STBPU engines additionally route R1-R4/Rp through the remap memo-cache
@@ -24,13 +24,10 @@
 // (tests/integration/engine_equivalence_test.cc asserts this).
 #pragma once
 
-#include <algorithm>
 #include <memory>
-#include <span>
 #include <string>
 #include <tuple>
 #include <type_traits>
-#include <vector>
 
 #include "bpu/direction.h"
 #include "bpu/predictor.h"
@@ -49,19 +46,18 @@ namespace stbpu::models {
 template <class Mapping, class Direction>
 class EngineT final : public bpu::IPredictor {
  public:
-  /// `make_direction` is invoked with the address of the engine-owned
-  /// mapping — the mapping must be addressed *after* it is moved into
-  /// place, which is why a factory callback is taken instead of a
-  /// ready-made direction predictor.
+  /// The engine builds its mapping in place over `stm` (token-keyed
+  /// mappings) or default-constructs it. `make_direction` is invoked with
+  /// the address of that engine-owned mapping, which is why a factory
+  /// callback is taken instead of a ready-made direction predictor.
   template <class DirFactory>
   EngineT(const ModelSpec& spec, const bpu::CorePredictorConfig& cfg,
           std::unique_ptr<core::STManager> stm,
-          std::unique_ptr<core::EventMonitor> monitor, Mapping mapping,
-          DirFactory&& make_direction)
+          std::unique_ptr<core::EventMonitor> monitor, DirFactory&& make_direction)
       : spec_(spec),
         stm_(std::move(stm)),
         monitor_(std::move(monitor)),
-        mapping_(std::move(mapping)),
+        mapping_(make_mapping(stm_.get())),
         core_(cfg, &mapping_, make_direction(&mapping_), monitor_.get()),
         name_(to_string(spec.model) + "/" + to_string(spec.direction)) {
     core_.set_name(name_);
@@ -71,91 +67,10 @@ class EngineT final : public bpu::IPredictor {
     return core_.access(rec);
   }
 
-  // -------------------------------------------------------------------------
-  // Batch-native prediction API. A front end that knows the next K branches
-  // hands them over as a span; the engine starts their keyed mixes together
-  // (one mix_batch kernel per compacted miss list) so the later per-branch
-  // access() finds its R outputs already resident. Purely a cache-warming
-  // contract: every filled value is bit-identical to what the demand path
-  // computes, requests with stale speculative GHRs simply never match at
-  // access time, and requests for entities whose token the demand path has
-  // not yet established are dropped — so prediction statistics cannot be
-  // affected by batching (the equivalence tests are the oracle).
-  // -------------------------------------------------------------------------
-
-  /// True when the mapping implements the batch probe/fill layer (STBPU's
-  /// memo-cached mapping); baseline/conservative mappings compute indexes in
-  /// a handful of cycles and precompute compiles away to nothing.
-  static constexpr bool kBatchMapping = bpu::BatchPrecompute<Mapping>;
-  /// True when the direction predictor keys its 2-level index on the GHR —
-  /// lookahead requests must then carry a speculative GHR.
-  static constexpr bool kGhrLookahead =
-      std::is_same_v<Direction, bpu::SklCondPredictorT<Mapping>>;
-  /// True when this engine's precompute actually does work — the gate
-  /// front ends (the integer-tick sim::OooCoreT's lookahead window and its
-  /// double-precision reference OooCoreRefT, sim::replay's chunked walk)
-  /// use to skip buffering/request-building on the model×direction combos
-  /// where precompute compiles to a no-op and the bookkeeping would be pure
-  /// per-record overhead. TAGE engines are not among them: their Rt keys
-  /// are batched per access at predict time (bpu::RtBatch).
-  static constexpr bool kBatchPrecompute = kBatchMapping && kGhrLookahead;
-
-  /// Largest span one precompute pass should cover. The staging caches are
-  /// direct-mapped: precomputing far more keys than they hold makes fills
-  /// evict each other before their demand access (wasting the batched mix
-  /// AND paying the scalar recompute). SKLCond emits one R4 key per
-  /// conditional into the 4096-entry fused cache, so 512 records fit with
-  /// ~12% self-eviction. Callers with larger windows — sim::replay's
-  /// 4096-record runs, access_batch — precompute in chunks of this size
-  /// interleaved with the accesses.
+  /// Read by perfbench/layers.cc; remove with the next benchmark change.
+  static constexpr bool kBatchPrecompute = false;
+  /// Read by perfbench/layers.cc; remove with the next benchmark change.
   static constexpr std::size_t kPrecomputeWindow = 512;
-
-  /// Warm the mapping caches for explicit requests (the raw API — callers
-  /// that track their own speculative GHR, e.g. tests and attack studies).
-  void precompute(std::span<const bpu::PredictRequest> reqs) {
-    if constexpr (kBatchMapping) {
-      mapping_.precompute(reqs, precompute_select());
-    } else {
-      (void)reqs;
-    }
-  }
-
-  /// Warm the mapping caches for a run of upcoming trace records. The
-  /// speculative per-hart GHR starts from the direction predictor's current
-  /// value and advances by each record's trace outcome, mirroring the push
-  /// the predictor itself will perform — exact in trace-driven simulation
-  /// unless ψ re-keys mid-run, in which case the ψ-tagged entries are
-  /// discarded by the demand path's tag check.
-  void precompute_records(std::span<const bpu::BranchRecord> recs) {
-    precompute_n(recs.size(), [&recs](std::size_t i) -> const bpu::BranchRecord& {
-      return recs[i];
-    });
-  }
-
-  /// SoA rendering of precompute_records for sim::replay's generator path:
-  /// warms records [begin, end) of the batch.
-  void precompute_batch(const trace::BranchBatch& batch, std::size_t begin,
-                        std::size_t end) {
-    end = std::min(end, batch.size());
-    if (begin >= end) return;
-    precompute_n(end - begin,
-                 [&batch, begin](std::size_t i) { return batch.record(begin + i); });
-  }
-
-  /// Batched access: precompute window by window, then run the per-branch
-  /// accesses. Statement sequence per branch is exactly access(), so the
-  /// results are bit-identical to a scalar loop; context/mode switches
-  /// within the span are not modelled (drive on_switch() yourself, as
-  /// sim::replay does, if the span crosses entities).
-  void access_batch(std::span<const bpu::BranchRecord> recs,
-                    std::span<bpu::AccessResult> out) {
-    const std::size_t n = std::min(recs.size(), out.size());
-    for (std::size_t at = 0; at < n; at += kPrecomputeWindow) {
-      const std::size_t c = std::min(kPrecomputeWindow, n - at);
-      precompute_records(recs.subspan(at, c));
-      for (std::size_t i = 0; i < c; ++i) out[at + i] = core_.access(recs[at + i]);
-    }
-  }
 
   void on_switch(const bpu::ExecContext& from, const bpu::ExecContext& to) override {
     // Invalidatable mappings empty their derived state (memo-cache) on
@@ -179,56 +94,13 @@ class EngineT final : public bpu::IPredictor {
   [[nodiscard]] std::uint64_t policy_flushes() const noexcept { return flushes_; }
 
  private:
-  /// Which R functions this engine's precompute warms, fixed by the
-  /// direction-predictor type. Measured discipline, not completeness: only
-  /// the history-keyed functions have compulsory demand-miss rates worth
-  /// paying a per-record probe for — the fused R3+R4 probe for SKLCond
-  /// (~0.75 misses/branch). The address-keyed functions already memoize at
-  /// ≥99% demand hit rates (R1 ~99.4%, Rp ~99.7% on the fig4 workloads), so
-  /// probing them per lookahead record costs more than the handful of
-  /// misses it would batch. Recorded honestly in docs/API.md — the
-  /// mapping-level API (PrecomputeSelect) still supports r1/rp warming for
-  /// callers that want it.
-  template <class M = Mapping>
-  [[nodiscard]] typename M::PrecomputeSelect precompute_select() const {
-    typename M::PrecomputeSelect sel;
-    sel.r1 = false;
-    sel.r34 = kGhrLookahead;
-    return sel;
-  }
-
-  /// Shared request-building walk: `at(i)` yields record i of the window.
-  /// The speculative GHR is seeded lazily per hart from the live predictor
-  /// so a window that never touches a hart never reads it. Compiles to
-  /// nothing unless this engine actually has functions worth warming (see
-  /// precompute_select) — engines with no batchable compulsory misses must
-  /// not pay request-building overhead per record.
-  template <class RecAt>
-  void precompute_n(std::size_t n, RecAt&& at) {
-    if constexpr (kBatchPrecompute) {
-      if (n == 0) return;
-      reqs_.clear();
-      reqs_.reserve(n);
-      std::uint64_t g[2] = {0, 0};
-      bool seeded[2] = {false, false};
-      for (std::size_t i = 0; i < n; ++i) {
-        const bpu::BranchRecord& rec = at(i);
-        // Only conditionals consume the fused R3+R4 probe; other branch
-        // types would only generate no-op requests.
-        if (rec.type != bpu::BranchType::kConditional) continue;
-        const unsigned h = rec.ctx.hart & 1;
-        if (!seeded[h]) {
-          g[h] = core_.direction().ghr_value(static_cast<std::uint8_t>(h));
-          seeded[h] = true;
-        }
-        reqs_.push_back(bpu::PredictRequest{
-            .ip = rec.ip, .ghr = g[h], .ctx = rec.ctx, .type = rec.type});
-        g[h] = ((g[h] << 1) | static_cast<std::uint64_t>(rec.taken)) &
-               util::mask(Direction::kGhrBits);
-      }
-      if (!reqs_.empty()) mapping_.precompute(reqs_, precompute_select());
+  // Returned as a prvalue, so mapping_ is initialized without a copy: the
+  // STBPU mapping holds its memo tables inline.
+  static Mapping make_mapping(core::STManager* stm) {
+    if constexpr (std::is_constructible_v<Mapping, core::STManager*>) {
+      return Mapping(stm);
     } else {
-      (void)n;
+      return Mapping{};
     }
   }
 
@@ -239,7 +111,6 @@ class EngineT final : public bpu::IPredictor {
   bpu::CorePredictorT<Mapping, Direction> core_;
   std::string name_;
   std::uint64_t flushes_ = 0;
-  std::vector<bpu::PredictRequest> reqs_;  ///< reused precompute scratch
 };
 
 /// Build the devirtualized engine for `spec`. Drop-in IPredictor

@@ -1,5 +1,6 @@
 #include "net/frame.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace stbpu::net {
@@ -82,9 +83,16 @@ bool recv_frame(TcpConn& conn, FrameType& type, std::string& payload,
     return false;
   }
   const std::uint64_t checksum = get_u64(header + 9);
-  payload.resize(length);
-  if (length > 0 && !conn.recv_all(payload.data(), length, deadline_ms, err)) {
-    return false;
+  // Grow the payload as bytes arrive rather than trusting the header's
+  // length up front: a peer that claims kMaxFramePayload and then closes
+  // costs one chunk, not a 256 MiB zero-filled allocation.
+  constexpr std::size_t kRecvChunk = std::size_t{1} << 20;
+  payload.clear();
+  while (payload.size() < length) {
+    const std::size_t got = payload.size();
+    const std::size_t n = std::min<std::size_t>(kRecvChunk, length - got);
+    payload.resize(got + n);
+    if (!conn.recv_all(payload.data() + got, n, deadline_ms, err)) return false;
   }
   if (fnv1a64(payload.data(), payload.size()) != checksum) {
     err = "payload checksum mismatch (corrupt frame)";

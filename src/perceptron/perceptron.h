@@ -71,9 +71,6 @@ class PerceptronPredictorT final : public bpu::IDirectionPredictor {
 
   [[nodiscard]] std::string_view name() const override { return "PerceptronBP"; }
   [[nodiscard]] int theta() const noexcept { return theta_; }
-  /// Row-selection width — the batch-precompute path needs it to key Rp
-  /// exactly as predict()/update() do.
-  [[nodiscard]] unsigned row_bits() const noexcept { return cfg_.row_bits; }
 
  private:
   [[nodiscard]] int dot(std::uint32_t row, std::uint64_t ghr) const {

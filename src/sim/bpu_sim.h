@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <span>
 
 #include "bpu/predictor.h"
 #include "sim/stats.h"
@@ -25,12 +24,6 @@ namespace stbpu::sim {
 struct BpuSimOptions {
   std::uint64_t max_branches = 2'000'000;
   std::uint64_t warmup_branches = 100'000;  ///< excluded from the stats
-  /// Window precompute switch for batch-capable engines. Precompute is pure
-  /// cache warming (statistics are bit-identical either way), so this is an
-  /// A/B lever: scenarios run the same binary with precompute on and off to
-  /// measure the batch pipeline's speedup honestly rather than against a
-  /// separately compiled baseline.
-  bool precompute = true;
 };
 
 /// Batched replay of `stream` through `model` (anything with access() and
@@ -73,53 +66,14 @@ BranchStats replay(Model& model, trace::BranchStream& stream,
         std::min<std::uint64_t>(trace::kDefaultBatch, total - processed));
     // Zero-copy fast path for materialized streams; SoA batch refill for
     // generators (amortizes the virtual stream dispatch per batch).
-    // Batch-capable engines see each upcoming window before stepping it:
-    // one precompute pass feeds every genuinely fresh keyed mix in the
-    // window through the batched kernel, so the per-branch accesses below
-    // run against warm remap caches. The window is the engine's
-    // kPrecomputeWindow, not the whole 4096-record run — precomputing more
-    // keys than the direct-mapped caches hold would make fills evict each
-    // other before their demand access. Pure cache warming either way —
-    // statistics stay bit-identical (models::EngineT::precompute_records
-    // documents why).
     std::size_t n = 0;
     if (const bpu::BranchRecord* run = stream.borrow_run(want, n)) {
-      if constexpr (requires {
-                      model.precompute_records(std::span<const bpu::BranchRecord>{});
-                      requires Model::kBatchPrecompute;
-                    }) {
-        if (opt.precompute) {
-          for (std::size_t at = 0; at < n; at += Model::kPrecomputeWindow) {
-            const std::size_t c = std::min(Model::kPrecomputeWindow, n - at);
-            model.precompute_records(std::span<const bpu::BranchRecord>(run + at, c));
-            for (std::size_t i = 0; i < c; ++i) step(run[at + i]);
-          }
-        } else {
-          for (std::size_t i = 0; i < n; ++i) step(run[i]);
-        }
-      } else {
-        for (std::size_t i = 0; i < n; ++i) step(run[i]);
-      }
+      for (std::size_t i = 0; i < n; ++i) step(run[i]);
     } else {
       if (batch.ip.capacity() == 0) batch.reserve(trace::kDefaultBatch);
       n = stream.next_batch(batch, want);
       if (n == 0) break;
-      if constexpr (requires {
-                      model.precompute_batch(batch, 0, n);
-                      requires Model::kBatchPrecompute;
-                    }) {
-        if (opt.precompute) {
-          for (std::size_t at = 0; at < n; at += Model::kPrecomputeWindow) {
-            const std::size_t c = std::min(Model::kPrecomputeWindow, n - at);
-            model.precompute_batch(batch, at, at + c);
-            for (std::size_t i = 0; i < c; ++i) step(batch.record(at + i));
-          }
-        } else {
-          for (std::size_t i = 0; i < n; ++i) step(batch.record(i));
-        }
-      } else {
-        for (std::size_t i = 0; i < n; ++i) step(batch.record(i));
-      }
+      for (std::size_t i = 0; i < n; ++i) step(batch.record(i));
     }
   }
   return stats;

@@ -35,7 +35,6 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "bpu/predictor.h"
@@ -54,7 +53,7 @@ inline constexpr unsigned kNumArchRegs = 32;
 
 /// The model supports at most 2-way SMT (Table IV; OooResult arrays and the
 /// per-hart BPU structures are sized for it).
-inline constexpr unsigned kMaxSmtThreads = 2;
+inline constexpr unsigned kMaxSmtThreads = bpu::kMaxSmtThreads;
 
 /// Integer event time: 1 tick = 1/width of a cycle (the issue quantum), so
 /// a cycle is exactly `width` ticks. u64 ticks overflow after ~2^64/width
@@ -77,32 +76,6 @@ struct OooConfig {
   unsigned lat_div = 20;
   unsigned lat_fp = 4;
   unsigned lat_branch = 2;
-
-  /// Decoupled lookahead front end: the core buffers frontend_depth × width
-  /// upcoming instructions per thread as an SoA InstrBlock window —
-  /// borrowed zero-copy from materialized streams (trace::InstrTraceStream
-  /// lends pointers into the pregenerated arrays), block-filled otherwise —
-  /// and, for batch-capable BPUs, issues one batched precompute for the
-  /// branches in the window so the per-branch access() below finds its
-  /// keyed mixes already resident — the fetch-directed-predictor structure
-  /// modern cores use to run the BPU ahead of the backend. Engines without
-  /// batch precompute use the window only when the stream is contiguous
-  /// (the buffering is then free); with on-the-fly generators they keep
-  /// the direct per-record fetch. Purely a simulator-throughput feature:
-  /// results are bit-identical with it on or off
-  /// (tests/integration/ooo_typed_equivalence_test.cc).
-  bool lookahead = true;
-};
-
-/// BPU types whose batch-native precompute actually does work
-/// (models::EngineT with kBatchPrecompute — STBPU + GHR-keyed direction).
-/// Engines whose precompute is a compile-time no-op are excluded so they
-/// never pay the window-buffering overhead; the interface-typed core
-/// (Bpu = bpu::IPredictor) never sees this path either.
-template <class Bpu>
-concept LookaheadBpu = requires(Bpu& b, std::span<const bpu::BranchRecord> s) {
-  b.precompute_records(s);
-  requires Bpu::kBatchPrecompute;
 };
 
 /// Where a thread's instructions lost time — the ordered attribution of
@@ -209,13 +182,8 @@ class OooCoreT {
   /// Pull the next instruction into the SoA view; false when the stream is
   /// exhausted.
   bool fetch_instr(unsigned t, trace::InstrRecord& scratch, Fetched& out);
-  /// Refill the drained window — borrowing the stream's own SoA block when
-  /// it has one (pregenerated traces), block-filling the core's otherwise —
-  /// and precompute its branches' keyed mixes (batch-capable BPUs). The
-  /// window only refills when empty, so every branch the engine has
-  /// already processed is reflected in the predictor's live GHR — the
-  /// speculative GHR walk inside precompute_records is exact unless ψ
-  /// re-keys mid-window (then the stale entries are tag-discarded).
+  /// Point the drained window at the stream's next run of its own SoA
+  /// block (contiguous streams only; see the constructor).
   void refill_window(unsigned t);
 
   [[nodiscard]] Tick* ring(unsigned t) noexcept {
@@ -273,20 +241,15 @@ class OooCoreT {
   Tick shared_fetch_tick_ = 0;
   Tick shared_issue_tick_ = 0;
 
-  // Lookahead front end: per-thread SoA window blocks. `window_blk_` points
-  // at the live block — the stream's own storage when it lends one
-  // (borrow_block, zero copy), this core's `window_own_` after a block
-  // fill — with the window spanning [window_base_, window_base_ +
-  // window_size_) of it. One shared branch scratch (a refill is consumed
-  // before the next one starts, so the scratch never overlaps).
+  // Windowed fetch: on contiguous streams each thread consumes its trace
+  // zero-copy from the stream's own SoA block, the window spanning
+  // [window_base_, window_base_ + window_size_) of `window_blk_`.
   std::size_t window_cap_ = 0;
   std::array<bool, kMaxSmtThreads> use_window_{};
-  std::array<trace::InstrBlock, kMaxSmtThreads> window_own_;
   std::array<const trace::InstrBlock*, kMaxSmtThreads> window_blk_{};
   std::array<std::size_t, kMaxSmtThreads> window_base_{};
   std::array<std::size_t, kMaxSmtThreads> window_pos_{};
   std::array<std::size_t, kMaxSmtThreads> window_size_{};
-  std::vector<bpu::BranchRecord> window_branches_;
 };
 
 /// Legacy dynamic-dispatch instantiation (compiled once in ooo.cc).
@@ -349,15 +312,10 @@ OooCoreT<Bpu>::OooCoreT(const OooConfig& cfg, Bpu* bpu,
   for (unsigned t = 0; t < nthreads_; ++t) streams_[t] = threads[t];
 
   window_cap_ = std::max<std::size_t>(1, std::size_t{cfg_.frontend_depth} * cfg_.width);
-  for (unsigned t = 0; t < nthreads_; ++t) {
-    // Batch-capable BPUs always buffer (the window feeds their precompute);
-    // other engines take the window only when the stream serves blocks from
-    // materialized storage, where the windowed fetch is pure pointer
-    // consumption — never pay buffering that buys nothing.
-    use_window_[t] =
-        cfg_.lookahead && (LookaheadBpu<Bpu> || streams_[t]->contiguous());
-    if (use_window_[t]) window_own_[t].reserve(window_cap_);
-  }
+  // A stream that serves blocks from materialized storage is fetched
+  // through the window, which is then pure pointer consumption; any other
+  // stream is fetched record by record.
+  for (unsigned t = 0; t < nthreads_; ++t) use_window_[t] = streams_[t]->contiguous();
 }
 
 template <class Bpu>
@@ -397,31 +355,10 @@ template <class Bpu>
 void OooCoreT<Bpu>::refill_window(const unsigned t) {
   std::size_t start = 0;
   std::size_t n = 0;
-  const trace::InstrBlock* b = streams_[t]->borrow_block(window_cap_, start, n);
-  if (b == nullptr) {
-    n = streams_[t]->next_block(window_own_[t], window_cap_);
-    b = &window_own_[t];
-    start = 0;
-  }
-  window_blk_[t] = b;
+  window_blk_[t] = streams_[t]->borrow_block(window_cap_, start, n);
   window_base_[t] = start;
   window_pos_[t] = 0;
-  window_size_[t] = n;
-  if constexpr (LookaheadBpu<Bpu>) {
-    window_branches_.clear();
-    if (n > 0) {
-      const std::size_t lo = b->branch_before[start];
-      const std::size_t hi = b->branch_count_through(start + n);
-      for (std::size_t i = lo; i < hi; ++i) {
-        bpu::BranchRecord br = b->branches[i];
-        br.ctx.hart = static_cast<std::uint8_t>(t);  // the core assigns harts
-        window_branches_.push_back(br);
-      }
-    }
-    if (!window_branches_.empty()) {
-      bpu_->precompute_records(std::span<const bpu::BranchRecord>(window_branches_));
-    }
-  }
+  window_size_[t] = window_blk_[t] == nullptr ? 0 : n;
 }
 
 template <class Bpu>
@@ -658,21 +595,9 @@ class OooCoreRefT {
     std::uint64_t measured = 0;
     bool done = false;
     double finish_time = 0.0;
-    // Lookahead front end: the SoA window block (borrowed from the stream
-    // or block-filled into window_own) and the branch scratch handed to
-    // precompute_records. Same consumption policy as the tick core.
-    bool use_window = false;
-    trace::InstrBlock window_own;
-    const trace::InstrBlock* window_blk = nullptr;
-    std::size_t window_base = 0;
-    std::size_t window_pos = 0;
-    std::size_t window_size = 0;
-    std::vector<bpu::BranchRecord> window_branches;
   };
 
   void step(ThreadState& t);
-  bool fetch_instr(ThreadState& t, trace::InstrRecord& out);
-  void refill_window(ThreadState& t);
 
   OooConfig cfg_;
   Bpu* bpu_;
@@ -707,61 +632,13 @@ OooCoreRefT<Bpu>::OooCoreRefT(const OooConfig& cfg, Bpu* bpu,
     t.iq_issue.assign(iq_share, 0.0);
     t.lq_complete.assign(lq_share, 0.0);
     t.sq_commit.assign(sq_share, 0.0);
-    t.use_window =
-        cfg_.lookahead && (LookaheadBpu<Bpu> || t.stream->contiguous());
-  }
-}
-
-template <class Bpu>
-bool OooCoreRefT<Bpu>::fetch_instr(ThreadState& t, trace::InstrRecord& out) {
-  if (t.use_window) {
-    if (t.window_pos >= t.window_size) refill_window(t);
-    if (t.window_pos < t.window_size) {
-      out = t.window_blk->record(t.window_base + t.window_pos++);
-      return true;
-    }
-    return false;
-  }
-  return t.stream->next(out);
-}
-
-template <class Bpu>
-void OooCoreRefT<Bpu>::refill_window(ThreadState& t) {
-  const std::size_t depth =
-      std::max<std::size_t>(1, std::size_t{cfg_.frontend_depth} * cfg_.width);
-  std::size_t start = 0;
-  std::size_t n = 0;
-  const trace::InstrBlock* b = t.stream->borrow_block(depth, start, n);
-  if (b == nullptr) {
-    n = t.stream->next_block(t.window_own, depth);
-    b = &t.window_own;
-    start = 0;
-  }
-  t.window_blk = b;
-  t.window_base = start;
-  t.window_pos = 0;
-  t.window_size = n;
-  if constexpr (LookaheadBpu<Bpu>) {
-    t.window_branches.clear();
-    if (n > 0) {
-      const std::size_t lo = b->branch_before[start];
-      const std::size_t hi = b->branch_count_through(start + n);
-      for (std::size_t i = lo; i < hi; ++i) {
-        bpu::BranchRecord br = b->branches[i];
-        br.ctx.hart = t.hart;  // the core assigns harts, mirroring step()
-        t.window_branches.push_back(br);
-      }
-    }
-    if (!t.window_branches.empty()) {
-      bpu_->precompute_records(std::span<const bpu::BranchRecord>(t.window_branches));
-    }
   }
 }
 
 template <class Bpu>
 void OooCoreRefT<Bpu>::step(ThreadState& t) {
   trace::InstrRecord ins;
-  if (!fetch_instr(t, ins)) {
+  if (!t.stream->next(ins)) {
     t.done = true;
     t.finish_time = t.last_commit;
     return;

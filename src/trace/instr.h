@@ -5,12 +5,11 @@
 // what the Table IV machine model needs to produce IPC that responds to
 // branch mispredictions and cache behaviour.
 //
-// Streams are block-capable: next_block() fills a structure-of-arrays
-// InstrBlock (one virtual dispatch per block instead of per instruction,
-// mirroring trace/batch.h's BranchBatch for the branch-replay loop), and
+// The generator fills a structure-of-arrays InstrBlock in one call
+// (next_block, which trace/pregen.h uses to materialize a whole run), and
 // borrow_block() exposes already-materialized blocks zero-copy — the OoO
-// cores' lookahead windows consume pregenerated traces (trace/pregen.h) by
-// pointer, regenerating nothing.
+// cores' fetch windows consume pregenerated traces by pointer,
+// regenerating nothing.
 #pragma once
 
 #include <algorithm>
@@ -41,9 +40,7 @@ struct InstrRecord {
 
 /// SoA view of a run of instructions. Element i of every per-instruction
 /// array describes the same instruction; branch payloads are compacted into
-/// `branches`, indexed through the `branch_before` prefix count, so the
-/// cores' branch-window precompute can walk them contiguously without
-/// touching the non-branch instructions at all.
+/// `branches`, indexed through the `branch_before` prefix count.
 struct InstrBlock {
   std::vector<std::uint8_t> kind;  ///< InstrRecord::Kind values
   std::vector<std::uint8_t> dst;
@@ -52,9 +49,7 @@ struct InstrBlock {
   std::vector<std::uint8_t> streaming;
   std::vector<std::uint64_t> mem_addr;
   /// branch_before[i] = number of branches among instructions [0, i). For a
-  /// branch instruction i its payload is branches[branch_before[i]]; for a
-  /// range [lo, hi) the payloads are branches[branch_before[lo] ..
-  /// branch_count_through(hi)).
+  /// branch instruction i its payload is branches[branch_before[i]].
   std::vector<std::uint32_t> branch_before;
   std::vector<bpu::BranchRecord> branches;  ///< compacted branch payloads
 
@@ -107,12 +102,6 @@ struct InstrBlock {
     return branches[branch_before[i]];
   }
 
-  /// Number of branches among instructions [0, end).
-  [[nodiscard]] std::size_t branch_count_through(std::size_t end) const noexcept {
-    if (end == 0) return 0;
-    return branch_before[end - 1] + (is_branch(end - 1) ? 1 : 0);
-  }
-
   /// Reassemble the AoS record (interface-path consumers).
   [[nodiscard]] InstrRecord record(std::size_t i) const noexcept {
     InstrRecord r;
@@ -133,20 +122,10 @@ class InstrStream {
   virtual bool next(InstrRecord& out) = 0;
   virtual void reset() = 0;
 
-  /// Refill `out` with up to `limit` instructions (SoA). Returns the number
-  /// produced; 0 means end of stream. The default amortizes the virtual
-  /// dispatch over one call per block; generators fill the arrays directly.
-  virtual std::size_t next_block(InstrBlock& out, std::size_t limit) {
-    out.clear();
-    InstrRecord r;
-    while (out.size() < limit && next(r)) out.push_back(r);
-    return out.size();
-  }
-
   /// Zero-copy fast path: expose up to `limit` already-materialized
   /// instructions as [start, start + n) of the returned block and advance
   /// past them. Returns nullptr (n = 0) when the stream has no contiguous
-  /// SoA backing (on-the-fly generators) — callers fall back to next_block.
+  /// SoA backing (on-the-fly generators) — callers fall back to next().
   /// The pointer stays valid until the next stream mutation.
   virtual const InstrBlock* borrow_block(std::size_t limit, std::size_t& start,
                                          std::size_t& n) {
@@ -157,8 +136,7 @@ class InstrStream {
   }
 
   /// True when borrow_block() serves from materialized storage — the signal
-  /// the OoO cores use to route every engine type (not just batch-capable
-  /// BPUs) through the zero-copy window fetch.
+  /// the OoO cores use to fetch through the zero-copy window.
   [[nodiscard]] virtual bool contiguous() const noexcept { return false; }
 };
 
@@ -173,10 +151,10 @@ class SyntheticInstrGenerator final : public InstrStream {
 
   bool next(InstrRecord& out) override { return produce(out); }
 
-  /// Block fill: the identical per-record sequence (same RNG draws in the
-  /// same order) written straight into the SoA arrays — one virtual call
-  /// per block, no per-record dispatch.
-  std::size_t next_block(InstrBlock& out, std::size_t limit) override {
+  /// Block fill: refill `out` with the next `limit` instructions, the
+  /// identical per-record sequence (same RNG draws in the same order)
+  /// written straight into the SoA arrays. Returns the number produced.
+  std::size_t next_block(InstrBlock& out, std::size_t limit) {
     out.clear();
     InstrRecord r;
     while (out.size() < limit && produce(r)) out.push_back(r);

@@ -39,14 +39,19 @@ struct FileCloser {
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
-/// Decode record `index` of `path`. A type byte outside bpu::BranchType
-/// (a corrupt or foreign file) is rejected here, before it can reach a
-/// predictor's switch over branch types.
+/// Decode record `index` of `path`. A type byte outside bpu::BranchType or
+/// a hart byte at or above bpu::kMaxSmtThreads (a corrupt or foreign file)
+/// is rejected here, before it can reach a predictor's switch over branch
+/// types or its per-hart state.
 bpu::BranchRecord unpack(const PackedRecord& p, std::uint64_t index, const std::string& path) {
   constexpr unsigned kBranchTypes = static_cast<unsigned>(bpu::BranchType::kReturn) + 1;
   if (p.type >= kBranchTypes) {
     throw std::runtime_error("invalid branch type " + std::to_string(p.type) +
                              " in trace record " + std::to_string(index) + ": " + path);
+  }
+  if (p.hart >= bpu::kMaxSmtThreads) {
+    throw std::runtime_error("invalid hart " + std::to_string(p.hart) + " in trace record " +
+                             std::to_string(index) + ": " + path);
   }
   bpu::BranchRecord r;
   r.ip = p.ip;

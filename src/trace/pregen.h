@@ -5,7 +5,7 @@
 // each run was ~25% of the OoO step cost (ROADMAP gprof profile). An
 // InstrTrace is generated ONCE per (profile name, seed, count) and every
 // run replays it through an InstrTraceStream cursor whose borrow_block()
-// hands the core's lookahead window pointers straight into the shared SoA
+// hands the core's fetch window pointers straight into the shared SoA
 // arrays — zero copies, zero RNG draws, bit-identical records by
 // construction (the artifact is filled by the same SyntheticInstrGenerator
 // the on-the-fly path runs; tests/trace/instr_block_test.cc asserts
@@ -72,16 +72,6 @@ class InstrTraceStream final : public InstrStream {
   }
 
   void reset() override { pos_ = 0; }
-
-  std::size_t next_block(InstrBlock& out, std::size_t limit) override {
-    const InstrBlock& b = trace_->block;
-    out.clear();
-    const std::size_t n = std::min(limit, b.size() - pos_);
-    out.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) out.push_back(b.record(pos_ + i));
-    pos_ += n;
-    return n;
-  }
 
   const InstrBlock* borrow_block(std::size_t limit, std::size_t& start,
                                  std::size_t& n) override {

@@ -171,5 +171,31 @@ TEST_F(CorePredictorTest, PredictOnlyDoesNotPopRsb) {
   EXPECT_EQ(core_.rsb(0).depth(), 1u);
 }
 
+TEST(SklCondPredictorHarts, HartAboveOneAliasesHartOne) {
+  // The predictor keeps two per-hart GHRs; every per-hart index masks the
+  // hart with & 1. An update on hart 3 must therefore leave exactly the
+  // state an update on hart 1 leaves, never write past the GHR array.
+  BaselineMapping mapping;
+  SklCondPredictor high(&mapping), one(&mapping);
+  const ExecContext ctx3{.pid = 1, .hart = 3, .kernel = false};
+  const ExecContext ctx1{.pid = 1, .hart = 1, .kernel = false};
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    const std::uint64_t ip = 0x4000 + (i % 7) * 0x40;
+    const bool taken = (i % 3) != 0;
+    const DirPrediction p3 = high.predict(ip, ctx3);
+    const DirPrediction p1 = one.predict(ip, ctx1);
+    ASSERT_EQ(p3.taken, p1.taken) << i;
+    high.update(ip, ctx3, taken, p3);
+    one.update(ip, ctx1, taken, p1);
+  }
+  EXPECT_EQ(high.ghr_value(1), one.ghr_value(1));
+  EXPECT_EQ(high.ghr_value(3), one.ghr_value(1));
+  EXPECT_EQ(high.ghr_value(0), 0u);
+  EXPECT_NE(one.ghr_value(1), 0u);
+  for (std::uint32_t i = 0; i < one.pht().entries(); ++i) {
+    ASSERT_EQ(high.pht().raw(i), one.pht().raw(i)) << i;
+  }
+}
+
 }  // namespace
 }  // namespace stbpu::bpu

@@ -44,9 +44,6 @@ TEST_F(RemapCacheTest, HitsAreBitIdenticalToDirectRemapperCalls) {
       EXPECT_EQ(cache_.tage_tag(ip, fold, table, 8, kUser),
                 Remapper::rt_tag(psi, ip, fold, table, 8));
       EXPECT_EQ(cache_.perceptron_row(ip, 10, kUser), Remapper::rp(psi, ip, 10));
-      const auto pair = cache_.pht_indexes(ip, ghr, kUser);
-      EXPECT_EQ(pair.i1, Remapper::r3(psi, ip));
-      EXPECT_EQ(pair.i2, Remapper::r4(psi, ip, ghr));
     }
   }
   EXPECT_GT(cache_.stats().hits, 0u);

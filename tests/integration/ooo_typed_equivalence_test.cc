@@ -51,8 +51,7 @@ void expect_identical_results(const sim::OooResult& iface, const sim::OooResult&
 }
 
 void expect_single_equivalent(const models::ModelSpec& spec) {
-  // Interface-typed baseline: the engine driven through IPredictor* (this
-  // path has no lookahead front end by construction).
+  // Interface-typed baseline: the engine driven through IPredictor*.
   auto engine = models::make_engine(spec);
   trace::SyntheticInstrGenerator gen(trace::profile_by_name("mcf"));
   bpu::IPredictor* iface = engine.get();
@@ -66,9 +65,8 @@ void expect_single_equivalent(const models::ModelSpec& spec) {
   const auto ref_result = sim::run_ooo_ref({}, *ref_iface, {&ref_gen}, kBudget, kWarmup);
   expect_identical_results(ref_result, iface_result, spec);
 
-  // Engine-typed path with the lookahead front end on (the default):
-  // concrete EngineT recovered once, OooCoreT instantiated on it, windowed
-  // fetch + batched precompute ahead of every access.
+  // Engine-typed path: concrete EngineT recovered once, OooCoreT
+  // instantiated on it.
   sim::OooResult typed_result{};
   ASSERT_TRUE(exp::for_each_engine(spec, [&](auto& typed_engine) {
     trace::SyntheticInstrGenerator typed_gen(trace::profile_by_name("mcf"));
@@ -77,19 +75,7 @@ void expect_single_equivalent(const models::ModelSpec& spec) {
 
   expect_identical_results(iface_result, typed_result, spec);
 
-  // And with the lookahead disabled — the window and precompute must be
-  // pure mechanics with zero observable effect.
-  sim::OooConfig no_lookahead;
-  no_lookahead.lookahead = false;
-  sim::OooResult nola_result{};
-  ASSERT_TRUE(exp::for_each_engine(spec, [&](auto& typed_engine) {
-    trace::SyntheticInstrGenerator typed_gen(trace::profile_by_name("mcf"));
-    nola_result =
-        sim::run_ooo(no_lookahead, typed_engine, {&typed_gen}, kBudget, kWarmup);
-  }));
-  expect_identical_results(iface_result, nola_result, spec);
-
-  // Engine-typed double reference (lookahead on) vs the engine-typed tick
+  // Engine-typed double reference vs the engine-typed tick
   // core: the integerization must be exact on the devirtualized path too.
   sim::OooResult ref_typed{};
   ASSERT_TRUE(exp::for_each_engine(spec, [&](auto& typed_engine) {
@@ -100,7 +86,7 @@ void expect_single_equivalent(const models::ModelSpec& spec) {
 
   // Pregenerated-stream arm: the same engine-typed tick core fed by a
   // cursor over the whole-run SoA artifact, consumed by pointer through
-  // the lookahead window — the blocks must be pure transport. Stall
+  // the fetch window — the blocks must be pure transport. Stall
   // attribution is compared too (both arms run the tick core).
   sim::OooResult pregen_result{};
   const auto artifact = trace::shared_instr_trace(trace::profile_by_name("mcf"),
@@ -115,9 +101,8 @@ void expect_single_equivalent(const models::ModelSpec& spec) {
 }
 
 TEST(OooTypedEquivalence, AllModelsSingleThread) {
-  // All 20 model × direction combos; every one runs the lookahead front
-  // end on the typed path (STBPU engines batch keyed mixes through it,
-  // the others exercise the windowed fetch with a no-op precompute).
+  // All 20 model × direction combos, each through the per-record fetch
+  // (generator streams) and the windowed fetch (the pregenerated arm).
   for (const auto model :
        {models::ModelKind::kUnprotected, models::ModelKind::kUcode1,
         models::ModelKind::kUcode2, models::ModelKind::kConservative,
@@ -128,23 +113,6 @@ TEST(OooTypedEquivalence, AllModelsSingleThread) {
       expect_single_equivalent({.model = model, .direction = dir});
     }
   }
-}
-
-TEST(OooTypedEquivalence, LookaheadActuallyBatches) {
-  // The windowed front end must genuinely drive the batch probe/fill layer
-  // on STBPU engines — otherwise the equivalence above is vacuous.
-  const models::ModelSpec spec{.model = models::ModelKind::kStbpu,
-                               .direction = models::DirectionKind::kSklCond};
-  ASSERT_TRUE(exp::for_each_engine(spec, [&](auto& engine) {
-    trace::SyntheticInstrGenerator gen(trace::profile_by_name("mcf"));
-    (void)sim::run_ooo({}, engine, {&gen}, kBudget, kWarmup);
-    const auto cache = models::engine_remap_cache_stats(engine);
-    EXPECT_GT(cache.batch_requests, 0u);
-    EXPECT_GT(cache.batch_fills, 0u);
-    // SKLCond lookahead speculates the GHR: the fused R3+R4 probe must be
-    // among the warmed functions, not just the address-keyed R1.
-    EXPECT_GT(cache.fn_batch_fills[core::RemapCacheStats::kR34], 0u);
-  }));
 }
 
 TEST(OooTypedEquivalence, StbpuSmtPair) {

@@ -22,14 +22,12 @@ static_assert(bpu::MappingCore<core::CachedStbpuMapping>);
 static_assert(bpu::MappingCore<core::CibpuMappingLogic>);
 static_assert(bpu::MappingCore<core::XorIsolationMappingLogic>);
 // Optional capabilities: only the cached STBPU mapping invalidates, batches
-// and reports stats; the baseline and the rivals must NOT accidentally
+// Rt and reports stats; the baseline and the rivals must NOT accidentally
 // grow those hooks without the engine noticing.
 static_assert(bpu::Invalidatable<core::CachedStbpuMapping>);
 static_assert(!bpu::Invalidatable<bpu::BaselineMappingLogic>);
 static_assert(!bpu::Invalidatable<core::CibpuMappingLogic>);
 static_assert(!bpu::Invalidatable<core::XorIsolationMappingLogic>);
-static_assert(bpu::BatchPrecompute<core::CachedStbpuMapping>);
-static_assert(!bpu::BatchPrecompute<core::CibpuMappingLogic>);
 static_assert(bpu::RtBatch<core::CachedStbpuMapping>);
 static_assert(!bpu::RtBatch<bpu::BaselineMappingLogic>);
 static_assert(!bpu::RtBatch<core::StbpuMapping>);  // legacy per-table oracle

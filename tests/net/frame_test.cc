@@ -99,6 +99,28 @@ TEST(Frame, TruncatedPayloadFailsWithEof) {
   EXPECT_NE(err.find("connection closed"), std::string::npos) << err;
 }
 
+TEST(Frame, OverclaimedLengthAllocatesOnlyWhatArrives) {
+  Loopback lb;
+  lb.open();
+
+  // A valid header claiming a 200 MiB payload, then the peer closes. The
+  // receive must fail as a truncated frame without first allocating the
+  // claimed length.
+  std::string wire = encode_frame(FrameType::kResponse, "");
+  const std::uint32_t claimed = 200u << 20;
+  for (int i = 0; i < 4; ++i) wire[5 + i] = static_cast<char>((claimed >> (8 * i)) & 0xFF);
+  std::string err;
+  ASSERT_TRUE(lb.client.send_all(wire.data(), kFrameHeaderBytes, deadline_in(2'000), err))
+      << err;
+  lb.client.close();
+
+  FrameType type{};
+  std::string got;
+  EXPECT_FALSE(recv_frame(lb.server, type, got, deadline_in(2'000), err));
+  EXPECT_NE(err.find("connection closed"), std::string::npos) << err;
+  EXPECT_LT(got.capacity(), std::size_t{2} << 20);
+}
+
 TEST(Frame, GarbageHeaderFailsMagicCheck) {
   Loopback lb;
   lb.open();

@@ -13,6 +13,7 @@
 #include <deque>
 
 #include "bpu/mapping.h"
+#include "tage_config_printer.h"
 #include "util/rng.h"
 
 namespace stbpu::tage {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "bpu/mapping.h"
+#include "tage_config_printer.h"
 #include "util/rng.h"
 
 namespace stbpu::tage {

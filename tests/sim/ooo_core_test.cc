@@ -1,8 +1,8 @@
 // Direct timing-invariant tests for the integer-tick OoO core (OooCoreT):
 // scripted instruction streams and a scripted BPU make every event time
 // hand-computable, so the tests assert exact tick values — redirect stalls,
-// ROB occupancy back-pressure, SMT bandwidth sharing, lookahead-window
-// transparency — instead of the indirect IPC-shape checks in sim_test.cc.
+// ROB occupancy back-pressure, SMT bandwidth sharing — instead of the
+// indirect IPC-shape checks in sim_test.cc.
 // Also pins the integer core to the double-precision reference core
 // (OooCoreRefT) across widths, including a non-power-of-two width where the
 // reference accumulates 1/width rounding and only the statistics contract
@@ -12,8 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "exp/engine_visit.h"
-#include "models/models.h"
 #include "sim/ooo.h"
 #include "trace/instr.h"
 #include "trace/profile.h"
@@ -24,8 +22,8 @@ namespace {
 using trace::InstrRecord;
 
 /// Deterministic BPU: mispredicts exactly the accesses whose ordinal (from
-/// 0) appears in `mispredict_every` steps. No batch precompute, so the
-/// core's generic (window-less) fetch path is exercised.
+/// 0) appears in `mispredict_every` steps. Fed by generator streams, so
+/// the core's per-record (window-less) fetch path is exercised.
 struct ScriptedBpu {
   std::uint64_t accesses = 0;
   std::uint64_t mispredict_every = 0;  ///< 0 = always correct
@@ -231,28 +229,6 @@ TEST(OooCoreTiming, NonPowerOfTwoWidthKeepsStatsAndTracksReferenceClosely) {
   EXPECT_EQ(tick.instructions[0], ref.instructions[0]);
   EXPECT_EQ(tick.branch_stats[0], ref.branch_stats[0]);
   EXPECT_NEAR(tick.cycles[0] / ref.cycles[0], 1.0, 1e-9);
-}
-
-TEST(OooCoreTiming, LookaheadWindowOnOffIdenticalIncludingStalls) {
-  // The windowed front end is pure mechanics on the tick core: timing,
-  // statistics AND the stall attribution must be unchanged by it.
-  const models::ModelSpec spec{.model = models::ModelKind::kStbpu,
-                               .direction = models::DirectionKind::kSklCond};
-  sim::OooResult with{}, without{};
-  ASSERT_TRUE(exp::for_each_engine(spec, [&](auto& engine) {
-    trace::SyntheticInstrGenerator gen(trace::profile_by_name("mcf"));
-    with = sim::run_ooo({}, engine, {&gen}, 20'000, 2'000);
-  }));
-  ASSERT_TRUE(exp::for_each_engine(spec, [&](auto& engine) {
-    trace::SyntheticInstrGenerator gen(trace::profile_by_name("mcf"));
-    sim::OooConfig cfg;
-    cfg.lookahead = false;
-    without = sim::run_ooo(cfg, engine, {&gen}, 20'000, 2'000);
-  }));
-  EXPECT_EQ(with.instructions, without.instructions);
-  EXPECT_EQ(with.cycles, without.cycles);
-  EXPECT_EQ(with.branch_stats[0], without.branch_stats[0]);
-  EXPECT_EQ(with.stalls, without.stalls);
 }
 
 TEST(OooCoreTiming, StallAttributionIsBoundedAndDeterministic) {

@@ -198,28 +198,29 @@ TEST(FileStreamErrors, MissingAndMalformedFiles) {
   std::remove(bad.c_str());
 }
 
-TEST(FileStreamErrors, CorruptTypeByteNamesTheRecord) {
-  // A type byte outside bpu::BranchType must be rejected with an error that
-  // names the record, by read_trace and by both FileStream readers.
+/// Overwrite one byte of record 1234 of a fresh trace file and check that
+/// read_trace and both FileStream readers reject the file with an error
+/// containing `message` and naming the record.
+void expect_corrupt_byte_rejected(long offset_in_record, unsigned char value,
+                                  const std::string& message) {
   const std::string path = unique_temp_path(".trace");
   trace::SyntheticWorkloadGenerator gen(trace::profile_by_name("mcf"));
   ASSERT_TRUE(trace::write_trace(path, trace::collect(gen, 3000)));
   constexpr long kRecord = 1234;
   std::FILE* f = std::fopen(path.c_str(), "r+b");
   ASSERT_NE(f, nullptr);
-  // 16-byte header, 24-byte records, type byte at offset 16 of a record.
-  std::fseek(f, 16 + kRecord * 24 + 16, SEEK_SET);
-  const unsigned char bad_type = 6;
-  std::fwrite(&bad_type, 1, 1, f);
+  // 16-byte header, 24-byte records.
+  std::fseek(f, 16 + kRecord * 24 + offset_in_record, SEEK_SET);
+  std::fwrite(&value, 1, 1, f);
   std::fclose(f);
 
-  const auto expect_rejected = [](auto&& read, const char* reader) {
+  const auto expect_rejected = [&](auto&& read, const char* reader) {
     try {
       read();
-      ADD_FAILURE() << reader << " accepted an invalid branch type";
+      ADD_FAILURE() << reader << " accepted a record without " << message;
     } catch (const std::runtime_error& e) {
       const std::string what = e.what();
-      EXPECT_NE(what.find("invalid branch type 6"), std::string::npos) << reader << ": " << what;
+      EXPECT_NE(what.find(message), std::string::npos) << reader << ": " << what;
       EXPECT_NE(what.find("record 1234"), std::string::npos) << reader << ": " << what;
     }
   };
@@ -235,6 +236,18 @@ TEST(FileStreamErrors, CorruptTypeByteNamesTheRecord) {
   expect_rejected([&] { drain(trace::FileStreamMode::kMmap); }, "mmap");
 #endif
   std::remove(path.c_str());
+}
+
+TEST(FileStreamErrors, CorruptTypeByteNamesTheRecord) {
+  // A type byte (offset 16) outside bpu::BranchType.
+  expect_corrupt_byte_rejected(16, 6, "invalid branch type 6");
+}
+
+TEST(FileStreamErrors, CorruptHartByteNamesTheRecord) {
+  // A hart byte (offset 20) at or above kMaxSmtThreads would index past
+  // the predictors' per-hart state.
+  expect_corrupt_byte_rejected(20, 2, "invalid hart 2");
+  expect_corrupt_byte_rejected(20, 255, "invalid hart 255");
 }
 
 }  // namespace

@@ -49,16 +49,19 @@ TEST(InstrBlock, BlockFillMatchesPerRecordAcrossBoundaries) {
     const std::size_t n = blocked.next_block(block, limit);
     ASSERT_EQ(n, limit) << "generator is unbounded";
     ASSERT_EQ(block.size(), n);
+    std::size_t branches = 0;
     for (std::size_t i = 0; i < n; ++i) {
       trace::InstrRecord expect;
       ASSERT_TRUE(per_record.next(expect));
       EXPECT_TRUE(same_record(expect, block.record(i))) << "instr " << consumed + i;
       // SoA invariants: the prefix count addresses the compacted payloads.
+      EXPECT_EQ(block.branch_before[i], branches);
       if (block.is_branch(i)) {
         EXPECT_EQ(block.branch(i).ip, expect.branch.ip);
+        ++branches;
       }
     }
-    EXPECT_EQ(block.branch_count_through(n), block.branches.size());
+    EXPECT_EQ(branches, block.branches.size());
     consumed += n;
   }
 }
@@ -149,12 +152,9 @@ void expect_same_result(const sim::OooResult& gen_r, const sim::OooResult& pre_r
 }
 
 TEST(InstrBlock, PregenThroughTickCoreBitIdentical) {
-  // The core consumes the pregenerated stream by pointer through its
-  // lookahead window; everything the simulation computes must match the
-  // on-the-fly generator run — for a batch-precompute engine (STBPU/SKLCond
-  // exercises the windowed precompute against borrowed blocks) and for an
-  // engine without batch precompute (STBPU/TAGE8, windowed only because the
-  // stream is contiguous).
+  // The core consumes the pregenerated stream by pointer through its fetch
+  // window and the generator record by record; everything the simulation
+  // computes, stalls included, must match between the two fetch paths.
   constexpr std::uint64_t kBudget = 15'000, kWarmup = 1'500;
   const auto profile = trace::profile_by_name("mcf");
   const auto artifact =
@@ -172,7 +172,8 @@ TEST(InstrBlock, PregenThroughTickCoreBitIdentical) {
       pre_r = sim::run_ooo({}, engine, {&stream}, kBudget, kWarmup);
     }));
     expect_same_result(gen_r, pre_r);
-    // The double-precision reference core consumes the same blocks.
+    // The double-precision reference core reads the same pregenerated
+    // stream record by record.
     ASSERT_TRUE(exp::for_each_engine(spec, [&](auto& engine) {
       trace::InstrTraceStream stream(artifact);
       pre_ref_r = sim::run_ooo_ref({}, engine, {&stream}, kBudget, kWarmup);
