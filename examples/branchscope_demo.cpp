@@ -6,6 +6,7 @@
 #include <string>
 
 #include "attacks/harness.h"
+#include "models/engine.h"
 #include "models/models.h"
 #include "util/rng.h"
 
@@ -18,7 +19,7 @@ int main() {
               secret.size());
 
   for (const auto kind : {models::ModelKind::kUnprotected, models::ModelKind::kStbpu}) {
-    auto model = models::BpuModel::create({.model = kind});
+    auto model = models::make_engine({.model = kind});
     attacks::Harness h(model.get());
     const std::uint64_t primer = kVictimBranch ^ (1ULL << 12);
 

@@ -6,14 +6,15 @@
 //
 // Demonstrates the core public API:
 //   * trace::SyntheticWorkloadGenerator — workload branch streams
-//   * models::BpuModel::create          — assembled BPU designs
-//   * sim::simulate_bpu                 — trace-driven evaluation (OAE)
+//   * models::make_engine               — assembled BPU designs
+//   * models::replay_engine             — trace-driven evaluation (OAE)
+//   * models::engine_rerandomizations   — ψ re-keys the monitors fired
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
+#include "models/engine.h"
 #include "models/models.h"
-#include "sim/bpu_sim.h"
 #include "trace/generator.h"
 #include "trace/profile.h"
 
@@ -44,15 +45,15 @@ int main(int argc, char** argv) {
               "evictions", "rerand");
   double baseline_oae = 0.0;
   for (const auto kind : kinds) {
-    auto model = models::BpuModel::create({.model = kind});
+    auto model = models::make_engine({.model = kind});
     trace::SyntheticWorkloadGenerator gen(profile);
-    const sim::BranchStats s = sim::simulate_bpu(*model, gen, opt);
+    const sim::BranchStats s = models::replay_engine(*model, gen, opt);
     if (kind == models::ModelKind::kUnprotected) baseline_oae = s.oae();
+    const std::uint64_t rerand = models::engine_rerandomizations(*model);
     std::printf("%-28s %8.4f %8.4f %8.4f %10llu %8llu", model->name().data(),
                 s.oae(), s.direction_rate(), s.target_rate(),
                 static_cast<unsigned long long>(s.btb_evictions),
-                static_cast<unsigned long long>(
-                    model->tokens() ? model->tokens()->rerandomizations() : 0));
+                static_cast<unsigned long long>(rerand));
     if (baseline_oae > 0.0) std::printf("   (%.3fx baseline)", s.oae() / baseline_oae);
     std::printf("\n");
   }

@@ -9,6 +9,7 @@
 
 #include "attacks/harness.h"
 #include "attacks/table1.h"
+#include "models/engine.h"
 #include "models/models.h"
 
 int main() {
@@ -23,7 +24,7 @@ int main() {
   std::printf("attacker's gadget address %#llx\n\n", (unsigned long long)kGadget);
 
   for (const auto kind : {models::ModelKind::kUnprotected, models::ModelKind::kStbpu}) {
-    auto model = models::BpuModel::create({.model = kind});
+    auto model = models::make_engine({.model = kind});
     attacks::Harness h(model.get());
     std::printf("--- %s ---\n", model->name().data());
 
@@ -58,7 +59,7 @@ int main() {
   std::printf("success rate over 256 trials:\n");
   for (const auto kind : {models::ModelKind::kUnprotected, models::ModelKind::kUcode1,
                           models::ModelKind::kConservative, models::ModelKind::kStbpu}) {
-    auto model = models::BpuModel::create({.model = kind});
+    auto model = models::make_engine({.model = kind});
     const auto r = attacks::btb_injection_away(*model, 256, 99, kGadget);
     std::printf("  %-28s %.3f\n", model->name().data(), r.success_rate);
   }

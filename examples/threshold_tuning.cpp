@@ -5,8 +5,8 @@
 #include <cstdio>
 
 #include "analysis/equations.h"
+#include "models/engine.h"
 #include "models/models.h"
-#include "sim/bpu_sim.h"
 #include "trace/generator.h"
 #include "trace/profile.h"
 
@@ -24,9 +24,9 @@ int main(int argc, char** argv) {
   // Unprotected reference.
   double base_oae;
   {
-    auto model = models::BpuModel::create({});
+    auto model = models::make_engine({});
     trace::SyntheticWorkloadGenerator gen(profile);
-    base_oae = sim::simulate_bpu(*model, gen, opt).oae();
+    base_oae = models::replay_engine(*model, gen, opt).oae();
   }
   std::printf("unprotected baseline OAE: %.4f\n\n", base_oae);
   std::printf("%-10s %14s %14s %10s %10s %10s\n", "r", "misp thresh", "evict thresh",
@@ -35,15 +35,16 @@ int main(int argc, char** argv) {
   for (const double r : {1.0, 0.1, 0.05, 0.01, 1e-3, 1e-4, 1e-5}) {
     models::ModelSpec spec{.model = models::ModelKind::kStbpu};
     spec.rerand_difficulty_r = r;
-    auto model = models::BpuModel::create(spec);
+    auto model = models::make_engine(spec);
     trace::SyntheticWorkloadGenerator gen(profile);
-    const auto stats = sim::simulate_bpu(*model, gen, opt);
+    const auto stats = models::replay_engine(*model, gen, opt);
+    const std::uint64_t rerands = models::engine_rerandomizations(*model);
     const auto thresholds = analysis::derive_thresholds(r);
     std::printf("%-10g %14llu %14llu %10.4f %10.4f %10llu%s\n", r,
                 static_cast<unsigned long long>(thresholds.mispredictions),
                 static_cast<unsigned long long>(thresholds.evictions), stats.oae(),
                 stats.oae() / base_oae,
-                static_cast<unsigned long long>(model->tokens()->rerandomizations()),
+                static_cast<unsigned long long>(rerands),
                 r == 0.05 ? "   <- paper default" : "");
   }
 

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <memory>
+#include <utility>
 
 #include "bpu/direction.h"
 #include "bpu/mapping.h"
@@ -14,7 +15,7 @@
 #include "core/monitor.h"
 #include "core/remap.h"
 #include "core/secret_token.h"
-#include "core/stbpu_mapping.h"
+#include "util/bits.h"
 
 namespace stbpu::attacks {
 
@@ -34,12 +35,12 @@ struct ScaledGeometry {
 };
 
 /// Legacy mapping at reduced geometry (deterministic truncation/folding).
-class ScaledBaselineMapping final : public bpu::BaselineMapping {
+/// Shadows the baseline's R1; every other function is the baseline's.
+class ScaledBaselineMapping final : public bpu::BaselineMappingLogic {
  public:
   explicit ScaledBaselineMapping(const ScaledGeometry& g) : g_(g) {}
 
-  [[nodiscard]] bpu::BtbIndex btb_mode1(std::uint64_t ip,
-                                        const bpu::ExecContext&) const override {
+  [[nodiscard]] bpu::BtbIndex btb_mode1(std::uint64_t ip, const bpu::ExecContext&) const {
     bpu::BtbIndex out;
     out.offset = static_cast<std::uint32_t>(util::bits(ip, 0, g_.offset_bits));
     out.set = static_cast<std::uint32_t>(util::bits(ip, g_.offset_bits, g_.set_bits));
@@ -54,23 +55,22 @@ class ScaledBaselineMapping final : public bpu::BaselineMapping {
   ScaledGeometry g_;
 };
 
-/// STBPU mapping at reduced geometry (keyed R1 with narrow outputs).
-class ScaledStbpuMapping final : public bpu::BaselineMapping {
+/// STBPU mapping at reduced geometry: keyed R1 with narrow outputs and the
+/// φ target codec over otherwise baseline functions.
+class ScaledStbpuMapping final : public bpu::BaselineMappingLogic {
  public:
-  ScaledStbpuMapping(core::STManager* stm, const ScaledGeometry& g)
-      : stm_(stm), g_(g) {}
+  ScaledStbpuMapping(core::STManager* stm, const ScaledGeometry& g) : stm_(stm), g_(g) {}
 
-  [[nodiscard]] bpu::BtbIndex btb_mode1(std::uint64_t ip,
-                                        const bpu::ExecContext& ctx) const override {
-    return core::Remapper::r1_scaled(stm_->token(ctx).psi, ip, g_.set_bits,
-                                     g_.tag_bits, g_.offset_bits);
+  [[nodiscard]] bpu::BtbIndex btb_mode1(std::uint64_t ip, const bpu::ExecContext& ctx) const {
+    return core::Remapper::r1_scaled(stm_->token(ctx).psi, ip, g_.set_bits, g_.tag_bits,
+                                     g_.offset_bits);
   }
   [[nodiscard]] std::uint64_t encode_target(std::uint64_t target,
-                                            const bpu::ExecContext& ctx) const override {
+                                            const bpu::ExecContext& ctx) const {
     return util::bits(target, 0, 32) ^ stm_->token(ctx).phi;
   }
   [[nodiscard]] std::uint64_t decode_target(std::uint64_t branch_ip, std::uint64_t stored,
-                                            const bpu::ExecContext& ctx) const override {
+                                            const bpu::ExecContext& ctx) const {
     const std::uint64_t lo = (stored ^ stm_->token(ctx).phi) & 0xFFFF'FFFFULL;
     return (branch_ip & 0xFFFF'0000'0000ULL) | lo;
   }
@@ -80,19 +80,34 @@ class ScaledStbpuMapping final : public bpu::BaselineMapping {
   ScaledGeometry g_;
 };
 
-/// A fully wired scaled experiment target: CorePredictor over a scaled BTB
-/// with either the legacy or the ST mapping (and optionally a live monitor).
-struct ScaledTarget {
+/// An attack target built outside the registered engine arms (the scaled
+/// §VI targets, the ablation variants): a CorePredictorT with the SKLCond
+/// direction predictor over a one-off mapping, plus the optional token
+/// manager and monitor it is wired to.
+struct AttackTarget {
   std::unique_ptr<core::STManager> stm;
   std::unique_ptr<core::EventMonitor> monitor;
-  std::unique_ptr<bpu::MappingProvider> mapping;
-  std::unique_ptr<bpu::CorePredictor> predictor;
+  /// Owns the mapping `predictor` reads; its type differs per target.
+  std::shared_ptr<const void> mapping;
+  std::unique_ptr<bpu::IPredictor> predictor;
+
+  /// Build `predictor` over `logic`; `monitor` (if any) must be set first.
+  template <class Logic>
+  void build(const bpu::CorePredictorConfig& cfg, Logic logic) {
+    using Direction = bpu::SklCondPredictorT<Logic>;
+    auto m = std::make_shared<const Logic>(std::move(logic));
+    mapping = m;
+    predictor = std::make_unique<bpu::CorePredictorT<Logic, Direction>>(
+        cfg, m.get(), std::make_unique<Direction>(m.get()), monitor.get());
+  }
 };
 
-inline ScaledTarget make_scaled_target(const ScaledGeometry& g, bool stbpu,
+/// A scaled-BTB target with either the legacy or the ST mapping (and
+/// optionally a live monitor).
+inline AttackTarget make_scaled_target(const ScaledGeometry& g, bool stbpu,
                                        std::uint64_t seed,
                                        const core::MonitorConfig* monitor_cfg = nullptr) {
-  ScaledTarget t;
+  AttackTarget t;
   bpu::CorePredictorConfig cfg;
   cfg.btb.sets = static_cast<std::uint32_t>(g.sets());
   cfg.btb.ways = g.ways;
@@ -101,13 +116,10 @@ inline ScaledTarget make_scaled_target(const ScaledGeometry& g, bool stbpu,
     if (monitor_cfg != nullptr) {
       t.monitor = std::make_unique<core::EventMonitor>(t.stm.get(), *monitor_cfg);
     }
-    t.mapping = std::make_unique<ScaledStbpuMapping>(t.stm.get(), g);
+    t.build(cfg, ScaledStbpuMapping(t.stm.get(), g));
   } else {
-    t.mapping = std::make_unique<ScaledBaselineMapping>(g);
+    t.build(cfg, ScaledBaselineMapping(g));
   }
-  t.predictor = std::make_unique<bpu::CorePredictor>(
-      cfg, t.mapping.get(), std::make_unique<bpu::SklCondPredictor>(t.mapping.get()),
-      t.monitor.get());
   return t;
 }
 

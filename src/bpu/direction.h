@@ -1,11 +1,17 @@
-// Direction-predictor abstraction and the Skylake-like conditional
-// predictor ("SKLCond" in the paper's gem5 figures): a single shared 16K
-// PHT addressed in 1-level and 2-level (gshare) modes with a small choice
-// mechanism deciding which mode to trust per branch.
+// The Skylake-like conditional predictor ("SKLCond" in the paper's gem5
+// figures): a single shared 16K PHT addressed in 1-level and 2-level
+// (gshare) modes with a small choice mechanism deciding which mode to
+// trust per branch.
+//
+// Every direction predictor (SKLCond here, tage::TagePredictorT,
+// perceptron::PerceptronPredictorT) is a class template over the mapping
+// type with the same members — predict, update, track, flush, flush_hart
+// and name — which CorePredictorT calls directly. Implementations own
+// their internal histories, per hardware thread where the real structures
+// are per-thread.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -22,23 +28,6 @@ struct DirPrediction {
   bool from_tagged = false;  ///< tagged TAGE component supplied the prediction
 };
 
-/// Interface all conditional-direction predictors implement (SKLCond, TAGE
-/// variants, Perceptron). Implementations own their internal histories,
-/// per hardware thread where the real structures are per-thread.
-class IDirectionPredictor {
- public:
-  virtual ~IDirectionPredictor() = default;
-  [[nodiscard]] virtual DirPrediction predict(std::uint64_t ip, const ExecContext& ctx) = 0;
-  virtual void update(std::uint64_t ip, const ExecContext& ctx, bool taken,
-                      const DirPrediction& pred) = 0;
-  /// Observe a non-conditional control transfer (for path histories).
-  virtual void track(const BranchRecord& rec) { (void)rec; }
-  virtual void flush() = 0;
-  /// Flush only per-hart state (STIBP-style isolation needs this).
-  virtual void flush_hart(std::uint8_t hart) { (void)hart; flush(); }
-  [[nodiscard]] virtual std::string_view name() const = 0;
-};
-
 /// The baseline conditional predictor of §II-A. Hybrid of:
 ///  * 1-level mode: PHT indexed by function 3 (address only);
 ///  * 2-level mode: PHT indexed by function 4 (address hashed with GHR);
@@ -46,10 +35,10 @@ class IDirectionPredictor {
 /// Both modes share one physical 16K counter array (paper: "two distinct
 /// modes of addressing" of a single table), so cross-mode aliasing exists.
 ///
-/// Template over the mapping type: with a concrete final mapping class the
-/// four index computations per branch inline into predict()/update().
-template <class Mapping = MappingProvider>
-class SklCondPredictorT final : public IDirectionPredictor {
+/// Template over the mapping type: the four index computations per branch
+/// inline into predict()/update().
+template <class Mapping>
+class SklCondPredictorT final {
  public:
   static constexpr unsigned kChoiceBits = 12;  // 4K-entry choice table
   static constexpr unsigned kGhrBits = 18;
@@ -59,7 +48,7 @@ class SklCondPredictorT final : public IDirectionPredictor {
     for (auto& g : ghr_) g = GlobalHistoryRegister{kGhrBits};
   }
 
-  [[nodiscard]] DirPrediction predict(std::uint64_t ip, const ExecContext& ctx) override {
+  [[nodiscard]] DirPrediction predict(std::uint64_t ip, const ExecContext& ctx) {
     const auto [i1, i2, ci] = indexes(ip, ctx);
     if constexpr (RemapAwareMapping<Mapping>) {
       // Stash the indexes for the paired update() of the same branch: ψ is
@@ -76,7 +65,7 @@ class SklCondPredictorT final : public IDirectionPredictor {
   }
 
   void update(std::uint64_t ip, const ExecContext& ctx, bool taken,
-              const DirPrediction&) override {
+              const DirPrediction&) {
     const auto [i1, i2, ci] = update_indexes(ip, ctx);
     const bool p1 = pht_.predict(i1);
     const bool p2 = pht_.predict(i2);
@@ -101,15 +90,19 @@ class SklCondPredictorT final : public IDirectionPredictor {
     ghr_[ctx.hart & 1].push(taken);
   }
 
-  void flush() override {
+  /// SKLCond keeps no path history: non-conditional transfers leave it
+  /// untouched.
+  void track(const BranchRecord&) {}
+
+  void flush() {
     pht_.flush();
     for (auto& c : choice_) c = util::SaturatingCounter<2>{};
     for (auto& g : ghr_) g.clear();
   }
 
-  void flush_hart(std::uint8_t hart) override { ghr_[hart & 1].clear(); }
+  void flush_hart(std::uint8_t hart) { ghr_[hart & 1].clear(); }
 
-  [[nodiscard]] std::string_view name() const override { return "SKLCond"; }
+  [[nodiscard]] std::string_view name() const { return "SKLCond"; }
 
   [[nodiscard]] const PatternHistoryTable& pht() const noexcept { return pht_; }
   [[nodiscard]] std::uint64_t ghr_value(std::uint8_t hart) const noexcept {
@@ -152,8 +145,5 @@ class SklCondPredictorT final : public IDirectionPredictor {
   std::uint8_t scratch_hart_ = 0;
   bool scratch_valid_ = false;
 };
-
-/// Legacy dynamic-dispatch instantiation.
-using SklCondPredictor = SklCondPredictorT<>;
 
 }  // namespace stbpu::bpu

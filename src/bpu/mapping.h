@@ -1,21 +1,18 @@
-// The mapping-provider abstraction — the seam STBPU plugs into.
+// The mapping contract — the seam STBPU plugs into.
 //
 // Every BPU structure computes indexes/tags/offsets and encodes/decodes
-// stored targets exclusively through this interface (functions 1-5 of the
+// stored targets exclusively through a mapping type (functions 1-5 of the
 // paper's Figure 1 plus the TAGE/perceptron hooks of Table II). The
-// baseline provider below reproduces the legacy truncating/folding
+// baseline mapping below reproduces the legacy truncating/folding
 // behaviour reverse-engineered from Intel parts — deterministic and
 // collision-friendly, which is exactly what the Table I attacks exploit.
-// The STBPU provider (src/core/stbpu_mapping.h) swaps in the keyed
+// The STBPU mapping (src/core/stbpu_mapping.h) swaps in the keyed
 // R-functions and the XOR target codec without touching the predictors.
 //
-// Two parallel renderings of each mapping exist:
-//   * a non-virtual "logic" class (BaselineMappingLogic here, the STBPU
-//     equivalents in src/core/) consumed by the templated predictors — the
-//     devirtualized hot path the simulation engine is built on;
-//   * a thin MappingProvider adapter that delegates to the logic class —
-//     the stable virtual seam kept for tests, attacks and ad-hoc model
-//     variants where dispatch cost does not matter.
+// Mappings are plain non-virtual classes satisfying the MappingCore
+// concept; the predictors are templates over the mapping type, so every
+// mapping call resolves at compile time and inlines into the predictor
+// loops.
 #pragma once
 
 #include <concepts>
@@ -36,7 +33,7 @@ struct BtbIndex;
 
 // ---------------------------------------------------------------------------
 // The mapping contract, formalized. A mapping arm registered with the
-// devirtualized engine (models/engine.h's RegisteredArms typelist) must
+// engine (models/engine.h's RegisteredArms typelist) must
 // satisfy MappingCore — the nine index/tag/codec functions of the paper's
 // Figure 1 + Table II, all callable on a const object (mappings are pure
 // between re-keys; mutable internals like memo-caches must be logically
@@ -49,19 +46,30 @@ struct BtbIndex;
 // ---------------------------------------------------------------------------
 
 /// Required: the nine pure mapping functions every predictor structure
-/// calls through. Matches the virtual MappingProvider signature set, minus
-/// virtuality.
+/// calls through.
 template <class M>
 concept MappingCore =
     requires(const M m, std::uint64_t a, unsigned bits, const ExecContext& ctx) {
+      // Function 1 / R1 — BTB set/tag/offset from the branch address.
       { m.btb_mode1(a, ctx) } -> std::convertible_to<BtbIndex>;
+      // Function 2 / R2 — extra tag from the BHB for mode-2 (indirect)
+      // lookups.
       { m.btb_mode2_tag(a, ctx) } -> std::convertible_to<std::uint32_t>;
+      // Function 3 / R3 — PHT 1-level index.
       { m.pht_index_1level(a, ctx) } -> std::convertible_to<std::uint32_t>;
+      // Function 4 / R4 — PHT 2-level (gshare) index from address + GHR.
       { m.pht_index_2level(a, a, ctx) } -> std::convertible_to<std::uint32_t>;
+      // Target store codec (function 5 and STBPU's φ encryption): encode a
+      // target; decode a stored payload for the branch at `branch_ip`. The
+      // baseline BTB/RSB store 32 bits and decode re-extends with the 16
+      // upper bits of the branch IP; STBPU XORs the payload with φ both
+      // ways; the conservative model stores the full 48 bits.
       { m.encode_target(a, ctx) } -> std::convertible_to<std::uint64_t>;
       { m.decode_target(a, a, ctx) } -> std::convertible_to<std::uint64_t>;
+      // Rt — TAGE tagged-table index/tag from address + folded history.
       { m.tage_index(a, a, bits, bits, ctx) } -> std::convertible_to<std::uint32_t>;
       { m.tage_tag(a, a, bits, bits, ctx) } -> std::convertible_to<std::uint32_t>;
+      // Rp — perceptron row selection.
       { m.perceptron_row(a, bits, ctx) } -> std::convertible_to<std::uint32_t>;
     };
 
@@ -96,7 +104,7 @@ concept StatsReporting = requires(const M m) { m.stats(); };
 /// Output of function 1 / R1: where a branch lives in the BTB.
 ///
 /// `tag` is 64-bit because the conservative model stores the complete
-/// remaining 48-bit address as its tag; narrow providers (baseline 8-bit
+/// remaining 48-bit address as its tag; narrow mappings (baseline 8-bit
 /// fold, STBPU R1) must produce already-masked values in the same field —
 /// never a narrowed-then-rewidened cast.
 struct BtbIndex {
@@ -107,53 +115,10 @@ struct BtbIndex {
 };
 
 /// Architectural width of the mode-2 (BHB-derived) tag component. Every
-/// provider's btb_mode2_tag must fit in this many bits; the predictor masks
+/// mapping's btb_mode2_tag must fit in this many bits; the predictor masks
 /// with it before XOR-combining into BtbIndex::tag so a misbehaving
-/// provider cannot corrupt high tag bits (conservative tags are 35 bits).
+/// mapping cannot corrupt high tag bits (conservative tags are 35 bits).
 inline constexpr unsigned kBtbMode2TagBits = 8;
-
-class MappingProvider {
- public:
-  virtual ~MappingProvider() = default;
-
-  /// Function 1 / R1 — BTB set/tag/offset from the branch address.
-  [[nodiscard]] virtual BtbIndex btb_mode1(std::uint64_t ip,
-                                           const ExecContext& ctx) const = 0;
-
-  /// Function 2 / R2 — extra tag from the BHB for mode-2 (indirect) lookups.
-  [[nodiscard]] virtual std::uint32_t btb_mode2_tag(std::uint64_t bhb,
-                                                    const ExecContext& ctx) const = 0;
-
-  /// Function 3 / R3 — PHT 1-level index.
-  [[nodiscard]] virtual std::uint32_t pht_index_1level(std::uint64_t ip,
-                                                       const ExecContext& ctx) const = 0;
-
-  /// Function 4 / R4 — PHT 2-level (gshare) index from address + GHR.
-  [[nodiscard]] virtual std::uint32_t pht_index_2level(std::uint64_t ip, std::uint64_t ghr,
-                                                       const ExecContext& ctx) const = 0;
-
-  /// Target store codec (function 5 and STBPU's φ encryption). The baseline
-  /// BTB/RSB store 32 bits; decode re-extends using the 16 upper bits of the
-  /// branch instruction pointer. STBPU XORs the stored payload with φ both
-  /// ways. The conservative model stores the full 48 bits (hence uint64).
-  [[nodiscard]] virtual std::uint64_t encode_target(std::uint64_t target,
-                                                    const ExecContext& ctx) const = 0;
-  [[nodiscard]] virtual std::uint64_t decode_target(std::uint64_t branch_ip,
-                                                    std::uint64_t stored,
-                                                    const ExecContext& ctx) const = 0;
-
-  /// Rt — TAGE tagged-table index/tag from address + folded history.
-  [[nodiscard]] virtual std::uint32_t tage_index(std::uint64_t ip, std::uint64_t folded_hist,
-                                                 unsigned table, unsigned index_bits,
-                                                 const ExecContext& ctx) const = 0;
-  [[nodiscard]] virtual std::uint32_t tage_tag(std::uint64_t ip, std::uint64_t folded_hist,
-                                               unsigned table, unsigned tag_bits,
-                                               const ExecContext& ctx) const = 0;
-
-  /// Rp — perceptron row selection.
-  [[nodiscard]] virtual std::uint32_t perceptron_row(std::uint64_t ip, unsigned row_bits,
-                                                     const ExecContext& ctx) const = 0;
-};
 
 /// Legacy (insecure) mapping logic reproducing the baseline model of §II-A:
 ///  * only the low 30 bits of the 48-bit virtual address are consumed, so
@@ -163,9 +128,6 @@ class MappingProvider {
 ///    collide within one address space too (Jump-over-ASLR [19]);
 ///  * stored targets are truncated to 32 bits and re-extended with the upper
 ///    16 bits of the *predicting* branch's address (function 5).
-///
-/// Non-virtual: the templated engine calls these directly so every mapping
-/// call inlines into the predictor loops.
 class BaselineMappingLogic {
  public:
   static constexpr unsigned kUsedAddressBits = 30;
@@ -246,70 +208,6 @@ class BaselineMappingLogic {
     x ^= x >> 33;
     return static_cast<std::uint32_t>(util::bits(x, 0, row_bits));
   }
-};
-
-/// Virtual adapter over any non-virtual mapping-logic class: forwards the
-/// complete MappingProvider interface to an owned Logic instance. The three
-/// concrete adapters (baseline / conservative / STBPU) are one-liners over
-/// this template instead of three hand-maintained forwarding blocks.
-template <class Logic>
-class MappingAdapterT : public MappingProvider {
- public:
-  MappingAdapterT() = default;
-  explicit MappingAdapterT(Logic logic) : logic_(std::move(logic)) {}
-
-  [[nodiscard]] BtbIndex btb_mode1(std::uint64_t ip, const ExecContext& ctx) const override {
-    return logic_.btb_mode1(ip, ctx);
-  }
-  [[nodiscard]] std::uint32_t btb_mode2_tag(std::uint64_t bhb,
-                                            const ExecContext& ctx) const override {
-    return logic_.btb_mode2_tag(bhb, ctx);
-  }
-  [[nodiscard]] std::uint32_t pht_index_1level(std::uint64_t ip,
-                                               const ExecContext& ctx) const override {
-    return logic_.pht_index_1level(ip, ctx);
-  }
-  [[nodiscard]] std::uint32_t pht_index_2level(std::uint64_t ip, std::uint64_t ghr,
-                                               const ExecContext& ctx) const override {
-    return logic_.pht_index_2level(ip, ghr, ctx);
-  }
-  [[nodiscard]] std::uint64_t encode_target(std::uint64_t target,
-                                            const ExecContext& ctx) const override {
-    return logic_.encode_target(target, ctx);
-  }
-  [[nodiscard]] std::uint64_t decode_target(std::uint64_t branch_ip, std::uint64_t stored,
-                                            const ExecContext& ctx) const override {
-    return logic_.decode_target(branch_ip, stored, ctx);
-  }
-  [[nodiscard]] std::uint32_t tage_index(std::uint64_t ip, std::uint64_t folded_hist,
-                                         unsigned table, unsigned index_bits,
-                                         const ExecContext& ctx) const override {
-    return logic_.tage_index(ip, folded_hist, table, index_bits, ctx);
-  }
-  [[nodiscard]] std::uint32_t tage_tag(std::uint64_t ip, std::uint64_t folded_hist,
-                                       unsigned table, unsigned tag_bits,
-                                       const ExecContext& ctx) const override {
-    return logic_.tage_tag(ip, folded_hist, table, tag_bits, ctx);
-  }
-  [[nodiscard]] std::uint32_t perceptron_row(std::uint64_t ip, unsigned row_bits,
-                                             const ExecContext& ctx) const override {
-    return logic_.perceptron_row(ip, row_bits, ctx);
-  }
-
- protected:
-  Logic logic_;
-};
-
-/// Virtual adapter over BaselineMappingLogic (API edge; derived classes in
-/// the attack/ablation code override individual functions).
-class BaselineMapping : public MappingAdapterT<BaselineMappingLogic> {
- public:
-  static constexpr unsigned kUsedAddressBits = BaselineMappingLogic::kUsedAddressBits;
-  static constexpr unsigned kBtbSetBits = BaselineMappingLogic::kBtbSetBits;
-  static constexpr unsigned kBtbTagBits = BaselineMappingLogic::kBtbTagBits;
-  static constexpr unsigned kBtbOffsetBits = BaselineMappingLogic::kBtbOffsetBits;
-  static constexpr unsigned kPhtIndexBits = BaselineMappingLogic::kPhtIndexBits;
-  static constexpr unsigned kGhrBits = BaselineMappingLogic::kGhrBits;
 };
 
 }  // namespace stbpu::bpu

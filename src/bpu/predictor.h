@@ -1,20 +1,15 @@
-// CorePredictor — the full BPU of Figure 1: a direction predictor
+// CorePredictorT — the full BPU of Figure 1: a direction predictor
 // (SKLCond / TAGE-SC-L / Perceptron), the BTB with its two addressing
-// modes, the per-hart RSB and BHB, all wired through a mapping provider so
-// the identical prediction machinery runs unprotected (BaselineMapping),
-// conservatively, or secured (STBPU mapping). Every access reports the
+// modes, the per-hart RSB and BHB, all wired through a mapping so the
+// identical prediction machinery runs unprotected (BaselineMappingLogic),
+// conservatively, or secured (the STBPU mapping). Every access reports the
 // events STBPU's MSRs monitor.
 //
-// The predictor is a template over the mapping and direction types
-// (CorePredictorT). Instantiated with the virtual interfaces
-// (MappingProvider / IDirectionPredictor — the `CorePredictor` alias) it is
-// the legacy dynamic-dispatch engine; instantiated with concrete final
-// classes (BaselineMappingLogic, CachedStbpuMapping, SklCondPredictorT<...>)
-// every mapping and direction call resolves at compile time and inlines
-// into the access loop — the devirtualized engine src/models/engine.h
-// builds. Both instantiations execute the identical statement sequence, so
-// prediction statistics are bit-identical by construction (asserted by
-// tests/integration/engine_equivalence_test.cc).
+// The predictor is a template over the mapping and direction types: every
+// mapping and direction call resolves at compile time and inlines into the
+// access loop. The one virtual seam is IPredictor, the per-branch entry
+// point the simulators, the attack harness and the engine factory
+// (models/engine.h) hand around.
 #pragma once
 
 #include <memory>
@@ -59,16 +54,16 @@ class IPredictor {
 
 struct CorePredictorConfig {
   BtbConfig btb{};
-  bool rsb_per_hart = true;  ///< real SMT parts statically partition the RSB
 };
 
-template <class Mapping = MappingProvider, class Direction = IDirectionPredictor>
+/// The RSB, like the BHB, is per hardware thread: real SMT parts
+/// statically partition it.
+template <class Mapping, class Direction>
 class CorePredictorT final : public IPredictor {
  public:
   CorePredictorT(const CorePredictorConfig& cfg, const Mapping* mapping,
                  std::unique_ptr<Direction> direction, IEventSink* sink = nullptr)
-      : cfg_(cfg),
-        mapping_(mapping),
+      : mapping_(mapping),
         direction_(std::move(direction)),
         sink_(sink ? sink : &null_sink_),
         btb_(cfg.btb) {}
@@ -111,7 +106,7 @@ class CorePredictorT final : public IPredictor {
   /// R1 for `ip`, reused across the predict/train phases of one access when
   /// the mapping is remap-aware (R outputs are pure until the monitor fires
   /// at the end of the access, so the value cannot go stale mid-access).
-  /// Non-aware mappings recompute every time — the seed's exact behaviour.
+  /// Non-aware mappings recompute every time.
   [[nodiscard]] BtbIndex mode1_index(std::uint64_t ip, const ExecContext& ctx) const {
     if constexpr (RemapAwareMapping<Mapping>) {
       if (!m1_valid_ || m1_ip_ != ip) {
@@ -125,25 +120,24 @@ class CorePredictorT final : public IPredictor {
     }
   }
 
-  CorePredictorConfig cfg_;
+  // Member order is a measured layout choice: the scalars every access()
+  // reads sit together ahead of the structures, and the cold null sink
+  // goes last.
   const Mapping* mapping_;
-  mutable BtbIndex m1_;  ///< intra-access R1 scratch (remap-aware mappings)
+  std::unique_ptr<Direction> direction_;
+  IEventSink* sink_;
   mutable std::uint64_t m1_ip_ = 0;
   mutable bool m1_valid_ = false;
-  std::unique_ptr<Direction> direction_;
-  NullEventSink null_sink_;
-  IEventSink* sink_;
+  mutable BtbIndex m1_;  ///< intra-access R1 scratch (remap-aware mappings)
   BranchTargetBuffer btb_;
   ReturnStackBuffer rsb_[2];
   BranchHistoryBuffer bhb_[2];
+  NullEventSink null_sink_;
   std::string name_ = "core";
 };
 
-/// Legacy dynamic-dispatch instantiation — the API-edge engine.
-using CorePredictor = CorePredictorT<>;
-
 // ---------------------------------------------------------------------------
-// Implementation (template — shared verbatim by every instantiation).
+// Implementation.
 // ---------------------------------------------------------------------------
 
 template <class Mapping, class Direction>
@@ -167,7 +161,7 @@ CorePredictorT<Mapping, Direction>::predict_target(const BranchRecord& rec, bool
   TargetPrediction out;
   switch (rec.type) {
     case BranchType::kReturn: {
-      auto& rsb = rsb_[cfg_.rsb_per_hart ? (ctx.hart & 1) : 0];
+      auto& rsb = rsb_[ctx.hart & 1];
       const auto popped = pop_rsb ? rsb.pop() : rsb.peek();
       if (popped) {
         out.valid = true;
@@ -299,7 +293,7 @@ AccessResult CorePredictorT<Mapping, Direction>::access(const BranchRecord& rec)
     direction_->track(rec);
   }
   if (is_call(rec.type)) {
-    auto& rsb = rsb_[cfg_.rsb_per_hart ? (ctx.hart & 1) : 0];
+    auto& rsb = rsb_[ctx.hart & 1];
     rsb.push(mapping_->encode_target(rec.ip + kBranchInstrLen, ctx));
   }
   train_target(rec, res);
@@ -335,8 +329,5 @@ void CorePredictorT<Mapping, Direction>::flush_hart(std::uint8_t hart) {
   rsb_[hart & 1].flush();
   bhb_[hart & 1].clear();
 }
-
-/// The legacy instantiation is compiled once in predictor.cc.
-extern template class CorePredictorT<>;
 
 }  // namespace stbpu::bpu

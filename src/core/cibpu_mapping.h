@@ -11,9 +11,6 @@
 // (truncate + function-5 re-extension, exactly the baseline codec), so any
 // collision an attacker *does* force injects a usable target — the honest
 // weakness the three-way attack scenarios measure against STBPU's φ codec.
-//
-// CibpuMappingLogic is the non-virtual rendering consumed by the templated
-// engine; CibpuMapping is the thin MappingProvider adapter at the API edge.
 #pragma once
 
 #include "bpu/mapping.h"
@@ -96,18 +93,8 @@ class CibpuMappingLogic {
     return Remapper::rp(stm_->token(ctx).psi, ip, row_bits);
   }
 
-  [[nodiscard]] STManager& tokens() const noexcept { return *stm_; }
-
  private:
   STManager* stm_;
-};
-
-/// Virtual adapter over CibpuMappingLogic (API edge).
-class CibpuMapping final : public bpu::MappingAdapterT<CibpuMappingLogic> {
- public:
-  explicit CibpuMapping(STManager* stm) : MappingAdapterT(CibpuMappingLogic(stm)) {}
-
-  [[nodiscard]] STManager& tokens() const noexcept { return logic_.tokens(); }
 };
 
 }  // namespace stbpu::core

@@ -67,7 +67,7 @@ struct RemapCacheStats {
   }
 };
 
-/// Non-virtual STBPU mapping with memoized R functions. Drop-in for
+/// STBPU mapping with memoized R functions. Drop-in for
 /// StbpuMappingLogic in the templated engine (same method set); the φ
 /// target codec is a single XOR and is not cached.
 class CachedStbpuMapping {
@@ -199,7 +199,6 @@ class CachedStbpuMapping {
   [[nodiscard]] std::uint32_t debug_generation() const noexcept { return generation_; }
 
   [[nodiscard]] const RemapCacheStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] STManager& tokens() const noexcept { return *stm_; }
 
  private:
   template <class V>

@@ -1,14 +1,12 @@
-// STBPU mapping provider — glues the secret-token registers to the keyed
-// remapping functions and the φ target codec, implementing the Figure 1
-// components highlighted as STBPU (remapping ψ, encryption φ). Swapping
-// this provider in place of BaselineMapping is the *entire* integration
-// surface with the predictors, matching the paper's claim that STBPU does
-// not interfere with the prediction mechanisms themselves.
+// STBPU mapping — glues the secret-token registers to the keyed remapping
+// functions and the φ target codec, implementing the Figure 1 components
+// highlighted as STBPU (remapping ψ, encryption φ). Swapping this mapping
+// in place of BaselineMappingLogic is the *entire* integration surface
+// with the predictors, matching the paper's claim that STBPU does not
+// interfere with the prediction mechanisms themselves.
 //
-// StbpuMappingLogic is the non-virtual rendering consumed by the templated
-// engine (and wrapped by the memo-caching CachedStbpuMapping in
-// core/remap_cache.h); StbpuMapping is the thin MappingProvider adapter
-// kept at the API edge.
+// The engine's STBPU arm wraps StbpuMappingLogic in the memo-caching
+// CachedStbpuMapping (core/remap_cache.h).
 #pragma once
 
 #include "bpu/mapping.h"
@@ -75,18 +73,8 @@ class StbpuMappingLogic {
     return Remapper::rp(stm_->token(ctx).psi, ip, row_bits);
   }
 
-  [[nodiscard]] STManager& tokens() const noexcept { return *stm_; }
-
  private:
   STManager* stm_;
-};
-
-/// Virtual adapter over StbpuMappingLogic (API edge).
-class StbpuMapping final : public bpu::MappingAdapterT<StbpuMappingLogic> {
- public:
-  explicit StbpuMapping(STManager* stm) : MappingAdapterT(StbpuMappingLogic(stm)) {}
-
-  [[nodiscard]] STManager& tokens() const noexcept { return logic_.tokens(); }
 };
 
 }  // namespace stbpu::core

@@ -16,10 +16,6 @@
 // survives inside each domain (and across domains up to one constant
 // offset), which is exactly what the three-way attack scenarios measure
 // against STBPU's nonlinear keyed remapping.
-//
-// XorIsolationMappingLogic is the non-virtual rendering consumed by the
-// templated engine; XorIsolationMapping is the MappingProvider adapter at
-// the API edge.
 #pragma once
 
 #include "bpu/mapping.h"
@@ -115,8 +111,6 @@ class XorIsolationMappingLogic {
            static_cast<std::uint32_t>(util::bits(m, 0, row_bits));
   }
 
-  [[nodiscard]] STManager& tokens() const noexcept { return *stm_; }
-
  private:
   static constexpr std::uint64_t kSaltBtb = 0x42'5442;         // "BTB"
   static constexpr std::uint64_t kSaltBhb = 0x42'4842;         // "BHB"
@@ -132,16 +126,6 @@ class XorIsolationMappingLogic {
 
   bpu::BaselineMappingLogic base_;
   STManager* stm_;
-};
-
-/// Virtual adapter over XorIsolationMappingLogic (API edge).
-class XorIsolationMapping final
-    : public bpu::MappingAdapterT<XorIsolationMappingLogic> {
- public:
-  explicit XorIsolationMapping(STManager* stm)
-      : MappingAdapterT(XorIsolationMappingLogic(stm)) {}
-
-  [[nodiscard]] STManager& tokens() const noexcept { return logic_.tokens(); }
 };
 
 }  // namespace stbpu::core

@@ -95,7 +95,7 @@ class Table1Scenario final : public ScenarioBase {
     const std::size_t cell = index / kNumTable1Kinds;
     const unsigned k = static_cast<unsigned>(index % kNumTable1Kinds);
     const auto mspec = apply_spec_overrides({.model = kTable1Kinds[k]}, spec);
-    auto model = models::BpuModel::create(mspec);
+    auto model = models::make_engine(mspec);
     const auto r = run_table1_cell(cell, *model, attack_trials(spec.scale));
     PointResult p;
     p.set("name", r.name)
@@ -140,56 +140,29 @@ class Table1Scenario final : public ScenarioBase {
 // ablation — which STBPU mechanism stops which attack.
 // ---------------------------------------------------------------------------
 
-/// ψ-remapping without φ-encryption.
-class RemapOnlyMapping final : public bpu::MappingProvider {
+/// ψ-remapping without φ-encryption: the STBPU mapping with the
+/// baseline's plaintext target codec.
+class RemapOnlyMapping final : public core::StbpuMappingLogic {
  public:
-  explicit RemapOnlyMapping(core::STManager* stm) : inner_(stm) {}
-  bpu::BtbIndex btb_mode1(std::uint64_t ip, const bpu::ExecContext& c) const override {
-    return inner_.btb_mode1(ip, c);
-  }
-  std::uint32_t btb_mode2_tag(std::uint64_t b, const bpu::ExecContext& c) const override {
-    return inner_.btb_mode2_tag(b, c);
-  }
-  std::uint32_t pht_index_1level(std::uint64_t ip, const bpu::ExecContext& c) const override {
-    return inner_.pht_index_1level(ip, c);
-  }
-  std::uint32_t pht_index_2level(std::uint64_t ip, std::uint64_t g,
-                                 const bpu::ExecContext& c) const override {
-    return inner_.pht_index_2level(ip, g, c);
-  }
-  std::uint64_t encode_target(std::uint64_t t, const bpu::ExecContext&) const override {
+  using StbpuMappingLogic::StbpuMappingLogic;
+  std::uint64_t encode_target(std::uint64_t t, const bpu::ExecContext&) const {
     return t & 0xFFFF'FFFFULL;  // plaintext store
   }
   std::uint64_t decode_target(std::uint64_t ip, std::uint64_t s,
-                              const bpu::ExecContext&) const override {
+                              const bpu::ExecContext&) const {
     return (ip & 0xFFFF'0000'0000ULL) | (s & 0xFFFF'FFFFULL);
   }
-  std::uint32_t tage_index(std::uint64_t ip, std::uint64_t f, unsigned t, unsigned b,
-                           const bpu::ExecContext& c) const override {
-    return inner_.tage_index(ip, f, t, b, c);
-  }
-  std::uint32_t tage_tag(std::uint64_t ip, std::uint64_t f, unsigned t, unsigned b,
-                         const bpu::ExecContext& c) const override {
-    return inner_.tage_tag(ip, f, t, b, c);
-  }
-  std::uint32_t perceptron_row(std::uint64_t ip, unsigned b,
-                               const bpu::ExecContext& c) const override {
-    return inner_.perceptron_row(ip, b, c);
-  }
-
- private:
-  core::StbpuMapping inner_;
 };
 
 /// φ-encryption on top of the legacy (deterministic) index mapping.
-class EncryptOnlyMapping final : public bpu::BaselineMapping {
+class EncryptOnlyMapping final : public bpu::BaselineMappingLogic {
  public:
   explicit EncryptOnlyMapping(core::STManager* stm) : stm_(stm) {}
-  std::uint64_t encode_target(std::uint64_t t, const bpu::ExecContext& c) const override {
+  std::uint64_t encode_target(std::uint64_t t, const bpu::ExecContext& c) const {
     return (t & 0xFFFF'FFFFULL) ^ stm_->token(c).phi;
   }
   std::uint64_t decode_target(std::uint64_t ip, std::uint64_t s,
-                              const bpu::ExecContext& c) const override {
+                              const bpu::ExecContext& c) const {
     return (ip & 0xFFFF'0000'0000ULL) | ((s ^ stm_->token(c).phi) & 0xFFFF'FFFFULL);
   }
 
@@ -201,35 +174,26 @@ constexpr const char* kVariantNames[] = {"full STBPU", "remap only (no phi)",
                                          "encrypt only (no psi)", "no monitor"};
 constexpr const char* kAblationJobs[] = {"spectre_rsb", "branchscope", "brute_force"};
 
-struct AblationVariant {
-  std::unique_ptr<core::STManager> stm;
-  std::unique_ptr<bpu::MappingProvider> mapping;
-  std::unique_ptr<core::EventMonitor> monitor;
-  std::unique_ptr<bpu::CorePredictor> bpu;
-};
-
-AblationVariant make_variant(unsigned which) {
-  AblationVariant v;
+attacks::AttackTarget make_variant(unsigned which) {
+  attacks::AttackTarget v;
   v.stm = std::make_unique<core::STManager>(0x1234);
+  const bpu::CorePredictorConfig cfg;
   switch (which) {
     case 0:
-      v.mapping = std::make_unique<core::StbpuMapping>(v.stm.get());
       v.monitor = std::make_unique<core::EventMonitor>(
           v.stm.get(), core::MonitorConfig::from_difficulty(0.05, false));
+      v.build(cfg, core::StbpuMappingLogic(v.stm.get()));
       break;
     case 1:
-      v.mapping = std::make_unique<RemapOnlyMapping>(v.stm.get());
+      v.build(cfg, RemapOnlyMapping(v.stm.get()));
       break;
     case 2:
-      v.mapping = std::make_unique<EncryptOnlyMapping>(v.stm.get());
+      v.build(cfg, EncryptOnlyMapping(v.stm.get()));
       break;
     default:
-      v.mapping = std::make_unique<core::StbpuMapping>(v.stm.get());
+      v.build(cfg, core::StbpuMappingLogic(v.stm.get()));
       break;
   }
-  v.bpu = std::make_unique<bpu::CorePredictor>(
-      bpu::CorePredictorConfig{}, v.mapping.get(),
-      std::make_unique<bpu::SklCondPredictor>(v.mapping.get()), v.monitor.get());
   return v;
 }
 
@@ -255,16 +219,16 @@ class AblationScenario final : public ScenarioBase {
     auto v = make_variant(which);
     PointResult p;
     if (job == 0) {
-      const auto r = attacks::rsb_injection_away(*v.bpu, trials, 6, kGadget);
+      const auto r = attacks::rsb_injection_away(*v.predictor, trials, 6, kGadget);
       p.set("success_rate", r.success_rate).set("success", r.success ? 1 : 0);
     } else if (job == 1) {
-      const auto r = attacks::pht_reuse_home(*v.bpu, trials, 2);
+      const auto r = attacks::pht_reuse_home(*v.predictor, trials, 2);
       p.set("success_rate", r.success_rate).set("success", r.success ? 1 : 0);
     } else {
       attacks::ReuseSearchConfig cfg;
       cfg.max_set_size = spec.scale.paper ? 400'000 : 60'000;
       cfg.internal_collision_checks = false;
-      (void)attacks::reuse_collision_search(*v.bpu, cfg);
+      (void)attacks::reuse_collision_search(*v.predictor, cfg);
       p.set("rotations", std::uint64_t{v.stm->rerandomizations()});
     }
     return p;
@@ -418,9 +382,8 @@ class Sec6EmpiricalScenario final : public ScenarioBase {
 
 // ---------------------------------------------------------------------------
 // attack_matrix — the rival-defense study: every collision/DoS attack
-// against every registered defense arm, executed twice per point (legacy
-// virtual BpuModel and the devirtualized engine) so each cell doubles as a
-// bit-identity anchor (`identical_stats`).
+// against every registered defense arm (tests/exp/attack_matrix_test.cc
+// pins the outcomes).
 // ---------------------------------------------------------------------------
 
 constexpr const char* kMatrixAttackNames[] = {"brute_reuse", "gem_btb", "dos_eviction",
@@ -456,7 +419,7 @@ class AttackMatrixScenario final : public ScenarioBase {
   AttackMatrixScenario()
       : ScenarioBase("attack_matrix",
                      "Rival-defense matrix: collision/DoS attacks vs every "
-                     "defense arm, legacy and engine paths compared") {}
+                     "defense arm") {}
 
   std::vector<std::string> point_labels(const ExperimentSpec& spec) const override {
     std::vector<std::string> labels;
@@ -477,70 +440,42 @@ class AttackMatrixScenario final : public ScenarioBase {
         {.model = kind, .direction = models::DirectionKind::kSklCond}, spec);
     PointResult p;
     p.set("model", models::to_string(kind));
-    const auto rerands_of = [](bpu::IPredictor& engine) -> std::uint64_t {
-      core::EventMonitor* mon = models::engine_monitor(engine);
-      return mon != nullptr ? mon->rerandomizations() : 0;
-    };
     switch (attack) {
       case 0: {  // brute-force reuse-collision search (§VI-A2)
         attacks::ReuseSearchConfig cfg;
         cfg.max_set_size = spec.scale.paper ? 120'000 : 20'000;
         cfg.internal_collision_checks = false;
-        auto legacy = models::BpuModel::create(mspec);
-        const auto rl = attacks::reuse_collision_search(*legacy, cfg);
         auto engine = models::make_engine(mspec);
         const auto re = attacks::reuse_collision_search(*engine, cfg);
-        const bool identical =
-            rl.found == re.found && rl.set_size == re.set_size &&
-            rl.mispredictions == re.mispredictions &&
-            rl.total_mispredictions == re.total_mispredictions &&
-            rl.evictions == re.evictions && rl.branches == re.branches;
         p.set("succeeds", re.found ? "true" : "false")
             .set("set_size", std::uint64_t{re.set_size})
             .set("mispredictions", std::uint64_t{re.mispredictions})
             .set("evictions", std::uint64_t{re.evictions})
             .set("branches", std::uint64_t{re.branches})
-            .set("rerandomizations", rerands_of(*engine))
-            .set("identical_stats", identical ? "true" : "false");
+            .set("rerandomizations", models::engine_rerandomizations(*engine));
         break;
       }
       case 1: {  // GEM eviction-set construction (§VI-A4)
         const attacks::GemConfig cfg;
-        auto legacy = models::BpuModel::create(mspec);
-        const auto rl = attacks::gem_eviction_set(*legacy, 0x0000'2345'6780ULL, cfg);
         auto engine = models::make_engine(mspec);
         const auto re = attacks::gem_eviction_set(*engine, 0x0000'2345'6780ULL, cfg);
-        const bool identical =
-            rl.success == re.success && rl.eviction_set == re.eviction_set &&
-            rl.branches == re.branches && rl.evictions == re.evictions &&
-            rl.probes == re.probes && rl.rounds == re.rounds;
         p.set("succeeds", re.success ? "true" : "false")
             .set("eviction_set_size", std::uint64_t{re.eviction_set.size()})
             .set("rounds", std::uint64_t{re.rounds})
             .set("probes", std::uint64_t{re.probes})
             .set("evictions", std::uint64_t{re.evictions})
             .set("branches", std::uint64_t{re.branches})
-            .set("rerandomizations", rerands_of(*engine))
-            .set("identical_stats", identical ? "true" : "false");
+            .set("rerandomizations", models::engine_rerandomizations(*engine));
         break;
       }
       default: {  // DoS: eviction-based (targeted) or reuse-based (§VI-A6)
         attacks::DosConfig cfg;
         cfg.rounds = spec.scale.paper ? 2000 : 500;
-        const auto run = [&](bpu::IPredictor& clean, bpu::IPredictor& attacked) {
-          return attack == 2 ? attacks::dos_eviction(clean, attacked, cfg,
-                                                     /*targeted=*/true)
-                             : attacks::dos_reuse(clean, attacked, cfg);
-        };
-        auto legacy_clean = models::BpuModel::create(mspec);
-        auto legacy_attacked = models::BpuModel::create(mspec);
-        const auto rl = run(*legacy_clean, *legacy_attacked);
         auto engine_clean = models::make_engine(mspec);
         auto engine_attacked = models::make_engine(mspec);
-        const auto re = run(*engine_clean, *engine_attacked);
-        const bool identical = rl.victim_oae_clean == re.victim_oae_clean &&
-                               rl.victim_oae_attacked == re.victim_oae_attacked &&
-                               rl.attacker_branches == re.attacker_branches;
+        const auto re = attack == 2 ? attacks::dos_eviction(*engine_clean, *engine_attacked,
+                                                            cfg, /*targeted=*/true)
+                                    : attacks::dos_reuse(*engine_clean, *engine_attacked, cfg);
         // A DoS "succeeds" when it costs the victim more than five points
         // of prediction accuracy.
         p.set("succeeds", re.degradation() > 0.05 ? "true" : "false")
@@ -548,8 +483,7 @@ class AttackMatrixScenario final : public ScenarioBase {
             .set("attacked_accuracy", re.victim_oae_attacked)
             .set("degradation", re.degradation())
             .set("attacker_branches", std::uint64_t{re.attacker_branches})
-            .set("rerandomizations", rerands_of(*engine_attacked))
-            .set("identical_stats", identical ? "true" : "false");
+            .set("rerandomizations", models::engine_rerandomizations(*engine_attacked));
         break;
       }
     }

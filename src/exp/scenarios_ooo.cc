@@ -218,8 +218,9 @@ class Fig4Scenario final : public ScenarioBase {
   PointResult run_point(const ExperimentSpec& spec, std::size_t index) const override {
     PointResult p;
     if (index < kNumThroughput) {
-      // Replay throughput of the devirtualized + remap-cached engine vs the
-      // virtual-dispatch BpuModel on an identical materialized trace.
+      // Replay throughput of the engine on a materialized trace, best of
+      // three repetitions; every repetition rebuilds the engine so all
+      // start cold.
       const auto mspec = with_seed(
           {.model = kThroughputModels[index], .direction = kThroughputDirs[index]}, spec);
       const sim::BpuSimOptions opt{.max_branches = spec.scale.trace_branches,
@@ -230,36 +231,22 @@ class Fig4Scenario final : public ScenarioBase {
       const double branches =
           static_cast<double>(opt.warmup_branches + opt.max_branches);
 
-      // Interleave repetitions of both arms and keep each arm's best time;
-      // every repetition rebuilds its model so all start cold.
-      double legacy_secs = 1e300, devirt_secs = 1e300;
+      double secs = 1e300;
       core::RemapCacheStats cache_stats;
-      sim::BranchStats legacy_stats, devirt_stats;
       for (unsigned rep = 0; rep < 3; ++rep) {
         stream.reset();
-        auto legacy = models::BpuModel::create(mspec);
-        Stopwatch sw;
-        legacy_stats = sim::simulate_bpu(*legacy, stream, opt);
-        legacy_secs = std::min(legacy_secs, std::max(sw.seconds(), 1e-9));
-
-        stream.reset();
         auto engine = models::make_engine(mspec);
-        sw.restart();
-        devirt_stats = models::replay_engine(*engine, stream, opt);
-        devirt_secs = std::min(devirt_secs, std::max(sw.seconds(), 1e-9));
+        Stopwatch sw;
+        (void)models::replay_engine(*engine, stream, opt);
+        secs = std::min(secs, std::max(sw.seconds(), 1e-9));
         if (rep == 0) {
           cache_stats = models::engine_remap_cache_stats(*engine);
         }
       }
-      const double legacy_bps = branches / legacy_secs;
-      const double devirt_bps = branches / devirt_secs;
+      const double bps = branches / secs;
       p.set("section", "throughput")
-          .set("legacy_branches_per_sec", legacy_bps)
-          .set("devirt_branches_per_sec", devirt_bps)
-          .set("branches_per_sec", devirt_bps)
-          .set("speedup", devirt_bps / legacy_bps)
-          .set("remap_cache_hit_rate", cache_stats.hit_rate())
-          .set("identical_stats", legacy_stats == devirt_stats ? "true" : "false");
+          .set("branches_per_sec", bps)
+          .set("remap_cache_hit_rate", cache_stats.hit_rate());
       if (spec.cache_stats) append_cache_stats(p, cache_stats);
       return p;
     }

@@ -10,6 +10,21 @@ namespace stbpu::models {
 
 namespace {
 
+/// The STBPU monitor config of `spec`: explicit thresholds override the
+/// r-derived defaults.
+core::MonitorConfig monitor_config_for(const ModelSpec& spec, bool separate_tagged) {
+  core::MonitorConfig cfg =
+      core::MonitorConfig::from_difficulty(spec.rerand_difficulty_r, separate_tagged);
+  if (spec.misprediction_threshold != 0) {
+    cfg.misprediction_threshold = spec.misprediction_threshold;
+  }
+  if (spec.eviction_threshold != 0) cfg.eviction_threshold = spec.eviction_threshold;
+  if (spec.tagged_misprediction_threshold != 0) {
+    cfg.tagged_misprediction_threshold = spec.tagged_misprediction_threshold;
+  }
+  return cfg;
+}
+
 /// Instantiate the engine for one mapping type across the four direction
 /// predictors of §VII-B2.
 template <class Mapping>
@@ -49,9 +64,9 @@ std::unique_ptr<bpu::IPredictor> with_direction(
   return nullptr;
 }
 
-/// Assemble one registered arm. Mirrors BpuModel::create — same configs,
-/// same token/monitor seeding order — so the devirtualized and legacy
-/// engines are statistically indistinguishable.
+/// Assemble one registered arm. Construction order (tokens, then monitor,
+/// then mapping) is architectural state: it fixes the token-creation
+/// sequence the golden digests pin.
 template <class Arm>
 std::unique_ptr<bpu::IPredictor> build_arm(const ModelSpec& spec) {
   using Mapping = typename Arm::mapping_type;
@@ -99,6 +114,11 @@ core::EventMonitor* engine_monitor(bpu::IPredictor& engine) {
   core::EventMonitor* monitor = nullptr;
   visit_engine(engine, [&](auto& e) { monitor = e.monitor(); });
   return monitor;
+}
+
+std::uint64_t engine_rerandomizations(bpu::IPredictor& engine) {
+  const core::EventMonitor* monitor = engine_monitor(engine);
+  return monitor != nullptr ? monitor->rerandomizations() : 0;
 }
 
 sim::BranchStats replay_engine(bpu::IPredictor& engine, trace::BranchStream& stream,

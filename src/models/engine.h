@@ -1,9 +1,9 @@
-// Devirtualized simulation engine: the same secure-BPU designs as
-// models::BpuModel (all seven ModelKind arms), but assembled from concrete
-// final types so every mapping and direction-predictor call resolves at
-// compile time and inlines into CorePredictorT's access loop. The only
-// virtual dispatch left on a branch's path is the single
-// IPredictor::access() call at the simulator boundary.
+// The simulation engine: the secure-BPU designs of models/models.h (all
+// seven ModelKind arms) assembled from concrete final types, so every
+// mapping and direction-predictor call resolves at compile time and
+// inlines into CorePredictorT's access loop. The only virtual dispatch
+// left on a branch's path is the single IPredictor::access() call at the
+// simulator boundary, and visit_engine removes that one too.
 //
 // Mapping arms plug in through ONE registration point — the RegisteredArms
 // typelist below. Each entry ties a ModelKind to its mapping type and
@@ -18,10 +18,8 @@
 // (core/remap_cache.h), exploiting that R outputs are constant between ψ
 // re-keys; TAGE's Rt keys are computed per access in one batched mix.
 //
-// make_engine(spec) mirrors BpuModel::create(spec) exactly — same token
-// manager seeding, monitor wiring and switch policy — so both produce
-// bit-identical prediction statistics on identical traces
-// (tests/integration/engine_equivalence_test.cc asserts this).
+// The engine's statistics are pinned by the golden-digest table in
+// tests/integration/golden_digest_test.cc.
 #pragma once
 
 #include <memory>
@@ -75,12 +73,11 @@ class EngineT final : public bpu::IPredictor {
   void on_switch(const bpu::ExecContext& from, const bpu::ExecContext& to) override {
     // Invalidatable mappings empty their derived state (memo-cache) on
     // context switches — entries are ψ-tagged, so this is belt-and-braces,
-    // not a correctness requirement; the flush policy itself is the shared
-    // apply_switch_policy so the engine can never drift from BpuModel.
+    // not a correctness requirement.
     if constexpr (bpu::Invalidatable<Mapping>) {
       if (from.pid != to.pid) mapping_.invalidate_all();
     }
-    if (apply_switch_policy(spec_.model, from, to, core_)) ++flushes_;
+    if (apply_switch_policy(from, to)) ++flushes_;
   }
 
   void flush() override { core_.flush(); }
@@ -91,9 +88,41 @@ class EngineT final : public bpu::IPredictor {
   [[nodiscard]] Mapping& mapping() noexcept { return mapping_; }
   [[nodiscard]] core::STManager* tokens() noexcept { return stm_.get(); }
   [[nodiscard]] core::EventMonitor* monitor() noexcept { return monitor_.get(); }
+  /// Total flushes triggered by the switch policy.
   [[nodiscard]] std::uint64_t policy_flushes() const noexcept { return flushes_; }
 
  private:
+  /// The context/mode-switch flush policy of §VII-B1. Returns true when
+  /// the policy flushed something.
+  bool apply_switch_policy(const bpu::ExecContext& from, const bpu::ExecContext& to) {
+    switch (spec_.model) {
+      case ModelKind::kUnprotected:
+      case ModelKind::kStbpu:
+      case ModelKind::kCibpu:
+      case ModelKind::kXorIsolation:
+        // Token-keyed designs retain history across switches: the OS
+        // reloads the ST register, modelled implicitly by the per-entity
+        // token lookup.
+        return false;
+      case ModelKind::kUcode1:
+      case ModelKind::kUcode2:
+      case ModelKind::kConservative:
+        if (from.pid != to.pid) {
+          // IBPB: full barrier on context switch.
+          core_.flush();
+          return true;
+        }
+        if (to.kernel && !from.kernel) {
+          // IBRS: entering a more privileged mode must not speculate on
+          // lower-privileged BPU contents — flush target structures.
+          core_.flush_targets();
+          return true;
+        }
+        return false;
+    }
+    return false;
+  }
+
   // Returned as a prvalue, so mapping_ is initialized without a copy: the
   // STBPU mapping holds its memo tables inline.
   static Mapping make_mapping(core::STManager* stm) {
@@ -113,8 +142,9 @@ class EngineT final : public bpu::IPredictor {
   std::uint64_t flushes_ = 0;
 };
 
-/// Build the devirtualized engine for `spec`. Drop-in IPredictor
-/// replacement for BpuModel::create(spec) with identical statistics.
+/// Build the engine for `spec`: the token manager and event monitor of a
+/// token-keyed arm, its mapping, the direction predictor and the switch
+/// policy.
 [[nodiscard]] std::unique_ptr<bpu::IPredictor> make_engine(const ModelSpec& spec);
 
 // ---------------------------------------------------------------------------
@@ -227,8 +257,8 @@ bool visit_engine_list(bpu::IPredictor& engine, Fn&& fn, MappingTypeList<Ms...>)
 /// after which `fn`'s body compiles against the final type — callers that
 /// instantiate the integer-tick sim::OooCoreT (or sim::replay, or the
 /// reference sim::OooCoreRefT) on it get a fully devirtualized per-branch
-/// path. Returns false when `engine` is a foreign predictor (e.g. the
-/// legacy BpuModel); callers then fall back to the interface-typed path.
+/// path. Returns false when `engine` is a foreign predictor (one not built
+/// by make_engine); callers then fall back to the interface-typed path.
 template <class Fn>
 bool visit_engine(bpu::IPredictor& engine, Fn&& fn) {
   return detail::visit_engine_list(engine, fn, detail::UniqueEngineMappings{});
@@ -238,16 +268,19 @@ bool visit_engine(bpu::IPredictor& engine, Fn&& fn) {
 /// (zeros for non-STBPU engines or foreign predictors).
 [[nodiscard]] core::RemapCacheStats engine_remap_cache_stats(const bpu::IPredictor& engine);
 
-/// Event monitor of an STBPU engine built by make_engine (nullptr for
-/// non-STBPU engines or foreign predictors).
+/// Event monitor of a token-keyed engine built by make_engine (nullptr for
+/// arms without tokens or foreign predictors).
 [[nodiscard]] core::EventMonitor* engine_monitor(bpu::IPredictor& engine);
+
+/// ψ re-keys the engine's monitor has fired (0 without a monitor). The
+/// monitor is the engine's only caller of STManager::rerandomize.
+[[nodiscard]] std::uint64_t engine_rerandomizations(bpu::IPredictor& engine);
 
 /// Batched trace replay with the engine's concrete type recovered (one
 /// dynamic_cast per run, not per branch): the per-branch access() then
 /// devirtualizes and inlines into the replay loop — zero virtual dispatch
-/// on the branch path. Falls back to the interface-typed loop for foreign
-/// predictors (e.g. legacy BpuModel), where it behaves exactly like
-/// sim::replay.
+/// on the branch path. Falls back to the interface-typed sim::replay loop
+/// for foreign predictors.
 [[nodiscard]] sim::BranchStats replay_engine(bpu::IPredictor& engine,
                                              trace::BranchStream& stream,
                                              const sim::BpuSimOptions& opt = {});

@@ -1,11 +1,5 @@
 #include "models/models.h"
 
-#include "bpu/direction.h"
-#include "core/cibpu_mapping.h"
-#include "core/xor_isolation_mapping.h"
-#include "perceptron/perceptron.h"
-#include "tage/tage.h"
-
 namespace stbpu::models {
 
 namespace {
@@ -110,86 +104,6 @@ bool parse_model_kind(std::string_view name, ModelKind& out, std::string& err) {
 bool parse_direction_kind(std::string_view name, DirectionKind& out,
                           std::string& err) {
   return parse_kind(kDirectionRows, "direction", name, out, err);
-}
-
-namespace {
-
-std::unique_ptr<bpu::IDirectionPredictor> make_direction(DirectionKind kind,
-                                                         const bpu::MappingProvider* map,
-                                                         std::uint64_t seed) {
-  switch (kind) {
-    case DirectionKind::kSklCond:
-      return std::make_unique<bpu::SklCondPredictor>(map);
-    case DirectionKind::kTage8:
-      return std::make_unique<tage::TagePredictor>(tage::TageConfig::kb8(), map, seed);
-    case DirectionKind::kTage64:
-      return std::make_unique<tage::TagePredictor>(tage::TageConfig::kb64(), map, seed);
-    case DirectionKind::kPerceptron:
-      return std::make_unique<perceptron::PerceptronPredictor>(map);
-  }
-  return nullptr;
-}
-
-}  // namespace
-
-std::unique_ptr<BpuModel> BpuModel::create(const ModelSpec& spec) {
-  auto model = std::unique_ptr<BpuModel>(new BpuModel());
-  model->spec_ = spec;
-
-  bpu::CorePredictorConfig core_cfg;
-  switch (spec.model) {
-    case ModelKind::kUnprotected:
-    case ModelKind::kUcode1:
-      model->mapping_ = std::make_unique<bpu::BaselineMapping>();
-      break;
-    case ModelKind::kUcode2:
-      model->mapping_ = std::make_unique<bpu::BaselineMapping>();
-      core_cfg.btb.partition_by_hart = true;  // STIBP logical segmentation
-      break;
-    case ModelKind::kConservative:
-      model->mapping_ = std::make_unique<ConservativeMapping>();
-      // Full 48-bit tags + untruncated targets nearly triple the entry
-      // size (budget-neutral entry reduction), and the structure is also
-      // partitioned between hardware threads ("flushing or partitioning").
-      core_cfg.btb.sets = ConservativeMapping::kSets;
-      core_cfg.btb.partition_by_hart = true;
-      break;
-    case ModelKind::kStbpu:
-    case ModelKind::kCibpu:
-    case ModelKind::kXorIsolation: {
-      // Token-keyed arms share the ST manager + event monitor plumbing;
-      // construction order (tokens, then monitor, then mapping) is
-      // architectural state — it fixes the token-creation sequence and
-      // must match make_engine exactly (bit-identity contract).
-      model->stm_ = std::make_unique<core::STManager>(spec.seed);
-      const bool separate_tagged = spec.direction == DirectionKind::kTage8 ||
-                                   spec.direction == DirectionKind::kTage64;
-      model->monitor_ = std::make_unique<core::EventMonitor>(
-          model->stm_.get(), monitor_config_for(spec, separate_tagged));
-      if (spec.model == ModelKind::kStbpu) {
-        model->mapping_ = std::make_unique<core::StbpuMapping>(model->stm_.get());
-      } else if (spec.model == ModelKind::kCibpu) {
-        model->mapping_ = std::make_unique<core::CibpuMapping>(model->stm_.get());
-      } else {
-        model->mapping_ =
-            std::make_unique<core::XorIsolationMapping>(model->stm_.get());
-      }
-      break;
-    }
-  }
-
-  model->core_ = std::make_unique<bpu::CorePredictor>(
-      core_cfg, model->mapping_.get(),
-      make_direction(spec.direction, model->mapping_.get(), spec.seed),
-      model->monitor_.get());
-  model->name_ =
-      to_string(spec.model) + "/" + to_string(spec.direction);
-  model->core_->set_name(model->name_);
-  return model;
-}
-
-void BpuModel::on_switch(const bpu::ExecContext& from, const bpu::ExecContext& to) {
-  if (apply_switch_policy(spec_.model, from, to, *core_)) ++flushes_;
 }
 
 }  // namespace stbpu::models

@@ -1,5 +1,6 @@
-// Secure BPU model factory (paper §VII-B1): builds the five evaluated
-// designs around the same CorePredictor machinery —
+// Secure BPU model vocabulary (paper §VII-B1): the evaluated designs, all
+// built around the same CorePredictorT machinery by models::make_engine
+// (models/engine.h) —
 //   * unprotected  — baseline mapping, no policies (the normalization base);
 //   * ucode1       — IBPB + IBRS: flush the whole BPU on context switches
 //                    and the target structures on kernel entry;
@@ -18,19 +19,19 @@
 //                    with cheap per-domain masks + φ entry encryption
 //                    (core/xor_isolation_mapping.h).
 // Each model can host any of the four direction predictors of §VII-B2
-// (SKLCond, TAGE-SC-L 8KB/64KB, PerceptronBP).
+// (SKLCond, TAGE-SC-L 8KB/64KB, PerceptronBP). This header holds the kind
+// enums and their names, the ModelSpec a model is built from, and the
+// conservative arm's mapping.
 #pragma once
 
-#include <memory>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <string_view>
 
 #include "bpu/mapping.h"
-#include "bpu/predictor.h"
-#include "core/monitor.h"
-#include "core/secret_token.h"
-#include "core/stbpu_mapping.h"
+#include "bpu/types.h"
+#include "util/bits.h"
 
 namespace stbpu::models {
 
@@ -73,8 +74,8 @@ enum class DirectionKind : std::uint8_t {
 /// address (set bits excluded) as its tag and the complete target — no
 /// compression, no truncation, hence no aliasing. Budget-neutral capacity
 /// reduction is applied by the factory (2048 entries vs 4096; see the
-/// model notes in docs/EXPERIMENTS.md). Non-virtual (shadows the baseline
-/// methods it changes) for the devirtualized engine.
+/// model notes in docs/EXPERIMENTS.md). Shadows the baseline methods it
+/// changes.
 class ConservativeMappingLogic : public bpu::BaselineMappingLogic {
  public:
   // Budget-neutral entry count: a baseline entry is ~45 bits (8 tag + 5
@@ -100,28 +101,6 @@ class ConservativeMappingLogic : public bpu::BaselineMappingLogic {
   }
 };
 
-/// Virtual adapter over ConservativeMappingLogic (API edge).
-class ConservativeMapping final : public bpu::BaselineMapping {
- public:
-  static constexpr unsigned kSets = ConservativeMappingLogic::kSets;
-
-  [[nodiscard]] bpu::BtbIndex btb_mode1(std::uint64_t ip,
-                                        const bpu::ExecContext& ctx) const override {
-    return logic_.btb_mode1(ip, ctx);
-  }
-  [[nodiscard]] std::uint64_t encode_target(std::uint64_t target,
-                                            const bpu::ExecContext& ctx) const override {
-    return logic_.encode_target(target, ctx);
-  }
-  [[nodiscard]] std::uint64_t decode_target(std::uint64_t branch_ip, std::uint64_t stored,
-                                            const bpu::ExecContext& ctx) const override {
-    return logic_.decode_target(branch_ip, stored, ctx);
-  }
-
- private:
-  ConservativeMappingLogic logic_;
-};
-
 struct ModelSpec {
   ModelKind model = ModelKind::kUnprotected;
   DirectionKind direction = DirectionKind::kSklCond;
@@ -134,92 +113,6 @@ struct ModelSpec {
   std::uint64_t misprediction_threshold = 0;
   std::uint64_t eviction_threshold = 0;
   std::uint64_t tagged_misprediction_threshold = 0;
-};
-
-/// The one place the STBPU monitor config is derived from a ModelSpec —
-/// shared by BpuModel::create and make_engine so the legacy and
-/// devirtualized factories can never drift (their statistics must stay
-/// bit-identical). Explicit thresholds override the r-derived defaults.
-[[nodiscard]] inline core::MonitorConfig monitor_config_for(const ModelSpec& spec,
-                                                            bool separate_tagged) {
-  core::MonitorConfig cfg =
-      core::MonitorConfig::from_difficulty(spec.rerand_difficulty_r, separate_tagged);
-  if (spec.misprediction_threshold != 0) {
-    cfg.misprediction_threshold = spec.misprediction_threshold;
-  }
-  if (spec.eviction_threshold != 0) cfg.eviction_threshold = spec.eviction_threshold;
-  if (spec.tagged_misprediction_threshold != 0) {
-    cfg.tagged_misprediction_threshold = spec.tagged_misprediction_threshold;
-  }
-  return cfg;
-}
-
-/// The context/mode-switch flush policy of §VII-B1, shared verbatim by the
-/// legacy BpuModel and the devirtualized engine so the two can never drift
-/// apart (their statistics must stay bit-identical). Returns true when the
-/// policy flushed something.
-template <class Core>
-bool apply_switch_policy(ModelKind kind, const bpu::ExecContext& from,
-                         const bpu::ExecContext& to, Core& core) {
-  switch (kind) {
-    case ModelKind::kUnprotected:
-    case ModelKind::kStbpu:
-    case ModelKind::kCibpu:
-    case ModelKind::kXorIsolation:
-      // Token-keyed designs retain history across switches: the OS reloads
-      // the ST register, modelled implicitly by the per-entity token lookup.
-      return false;
-    case ModelKind::kUcode1:
-    case ModelKind::kUcode2:
-    case ModelKind::kConservative:
-      if (from.pid != to.pid) {
-        // IBPB: full barrier on context switch.
-        core.flush();
-        return true;
-      }
-      if (to.kernel && !from.kernel) {
-        // IBRS: entering a more privileged mode must not speculate on
-        // lower-privileged BPU contents — flush target structures.
-        core.flush_targets();
-        return true;
-      }
-      return false;
-  }
-  return false;
-}
-
-/// A fully assembled BPU model: owns the mapping provider, token manager,
-/// monitor, and predictor, and applies the model's switch policy.
-class BpuModel final : public bpu::IPredictor {
- public:
-  static std::unique_ptr<BpuModel> create(const ModelSpec& spec);
-
-  bpu::AccessResult access(const bpu::BranchRecord& rec) override {
-    return core_->access(rec);
-  }
-
-  void on_switch(const bpu::ExecContext& from, const bpu::ExecContext& to) override;
-  void flush() override { core_->flush(); }
-  [[nodiscard]] std::string_view name() const override { return name_; }
-
-  [[nodiscard]] const ModelSpec& spec() const noexcept { return spec_; }
-  [[nodiscard]] bpu::CorePredictor& core() noexcept { return *core_; }
-  /// Non-null only for STBPU models.
-  [[nodiscard]] core::STManager* tokens() noexcept { return stm_.get(); }
-  [[nodiscard]] core::EventMonitor* monitor() noexcept { return monitor_.get(); }
-  /// Total flushes triggered by the switch policy (perf diagnostics).
-  [[nodiscard]] std::uint64_t policy_flushes() const noexcept { return flushes_; }
-
- private:
-  BpuModel() = default;
-
-  ModelSpec spec_;
-  std::string name_;
-  std::unique_ptr<bpu::MappingProvider> mapping_;
-  std::unique_ptr<core::STManager> stm_;
-  std::unique_ptr<core::EventMonitor> monitor_;
-  std::unique_ptr<bpu::CorePredictor> core_;
-  std::uint64_t flushes_ = 0;
 };
 
 }  // namespace stbpu::models

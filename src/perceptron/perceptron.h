@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <string_view>
 #include <vector>
 
@@ -20,10 +21,10 @@ struct PerceptronConfig {
   int weight_max = 127;         ///< 8-bit weights
 };
 
-/// Template over the mapping type so the Rp row selection inlines in the
-/// devirtualized engine; `PerceptronPredictor` below is the legacy alias.
-template <class Mapping = bpu::MappingProvider>
-class PerceptronPredictorT final : public bpu::IDirectionPredictor {
+/// Template over the mapping type so the Rp row selection inlines into
+/// predict()/update().
+template <class Mapping>
+class PerceptronPredictorT final {
  public:
   explicit PerceptronPredictorT(const Mapping* mapping,
                                 const PerceptronConfig& cfg = {})
@@ -35,14 +36,14 @@ class PerceptronPredictorT final : public bpu::IDirectionPredictor {
                  std::vector<std::int16_t>(cfg.history_length + 1, 0)) {}
 
   [[nodiscard]] bpu::DirPrediction predict(std::uint64_t ip,
-                                           const bpu::ExecContext& ctx) override {
+                                           const bpu::ExecContext& ctx) {
     const std::uint32_t row = mapping_->perceptron_row(ip, cfg_.row_bits, ctx);
     scratch_sum_ = dot(row, ghr_[ctx.hart & 1]);
     return {.taken = scratch_sum_ >= 0, .from_tagged = false};
   }
 
   void update(std::uint64_t ip, const bpu::ExecContext& ctx, bool taken,
-              const bpu::DirPrediction& pred) override {
+              const bpu::DirPrediction& pred) {
     const std::uint32_t row = mapping_->perceptron_row(ip, cfg_.row_bits, ctx);
     std::uint64_t& ghr = ghr_[ctx.hart & 1];
     // Train on misprediction or weak margin (|y| <= θ).
@@ -57,19 +58,19 @@ class PerceptronPredictorT final : public bpu::IDirectionPredictor {
     ghr = (ghr << 1) | static_cast<std::uint64_t>(taken);
   }
 
-  void track(const bpu::BranchRecord& rec) override {
+  void track(const bpu::BranchRecord& rec) {
     if (rec.taken && is_indirect(rec.type)) {
       ghr_[rec.ctx.hart & 1] = (ghr_[rec.ctx.hart & 1] << 1) | 1u;
     }
   }
 
-  void flush() override {
+  void flush() {
     for (auto& row : weights_) std::fill(row.begin(), row.end(), 0);
     ghr_[0] = ghr_[1] = 0;
   }
-  void flush_hart(std::uint8_t hart) override { ghr_[hart & 1] = 0; }
+  void flush_hart(std::uint8_t hart) { ghr_[hart & 1] = 0; }
 
-  [[nodiscard]] std::string_view name() const override { return "PerceptronBP"; }
+  [[nodiscard]] std::string_view name() const { return "PerceptronBP"; }
   [[nodiscard]] int theta() const noexcept { return theta_; }
 
  private:
@@ -101,8 +102,5 @@ class PerceptronPredictorT final : public bpu::IDirectionPredictor {
   std::uint64_t ghr_[2] = {0, 0};
   int scratch_sum_ = 0;
 };
-
-/// Legacy dynamic-dispatch instantiation.
-using PerceptronPredictor = PerceptronPredictorT<>;
 
 }  // namespace stbpu::perceptron

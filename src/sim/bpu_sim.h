@@ -5,10 +5,9 @@
 //
 // The loop is batched (SoA, trace/batch.h) and templated over the model
 // type: `replay(engine, ...)` with a concrete engine from
-// models::make_engine devirtualizes the per-branch access() call;
-// `simulate_bpu` is the interface-typed wrapper kept for the legacy path.
-// Both run the identical statement sequence per branch, so their
-// statistics are bit-identical for equivalent models.
+// models::make_engine devirtualizes the per-branch access() call
+// (models::replay_engine recovers that type); with `bpu::IPredictor` it
+// runs any predictor through the virtual seam.
 #pragma once
 
 #include <algorithm>
@@ -78,9 +77,5 @@ BranchStats replay(Model& model, trace::BranchStream& stream,
   }
   return stats;
 }
-
-/// Run `stream` through `model` (interface-typed legacy entry point).
-BranchStats simulate_bpu(bpu::IPredictor& model, trace::BranchStream& stream,
-                         const BpuSimOptions& opt = {});
 
 }  // namespace stbpu::sim

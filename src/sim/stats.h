@@ -57,8 +57,8 @@ struct BranchStats {
                                    static_cast<double>(needs_target);
   }
 
-  /// Field-wise equality — the devirtualized-vs-legacy equivalence test
-  /// asserts full stat identity, not just headline rates.
+  /// Field-wise equality — equivalence tests assert full stat identity,
+  /// not just headline rates.
   friend bool operator==(const BranchStats&, const BranchStats&) = default;
 
   BranchStats& operator+=(const BranchStats& o) {

@@ -10,9 +10,9 @@
 // STBPU — Table II: 10-bit index/8-bit tag for 8KB, 13/12 for 64KB), so the
 // secured variant differs only in data representation.
 //
-// Template over the mapping: with a concrete final mapping class every
-// per-table Rt index/tag computation inlines into the table walk — the
-// per-branch hot loop that dominates TAGE simulation cost. Mappings with
+// Template over the mapping: every per-table Rt index/tag computation
+// inlines into the table walk — the per-branch hot loop that dominates
+// TAGE simulation cost. Mappings with
 // the bpu::RtBatch capability compute all tables' Rt outputs (and the loop
 // tag) in one batched call per prediction instead.
 #pragma once
@@ -65,20 +65,20 @@ inline constexpr int kScThreshold = 8;        // SC override confidence
 inline constexpr std::uint32_t kTickPeriod = 1u << 18;  // useful-counter decay period
 }  // namespace detail
 
-template <class Mapping = bpu::MappingProvider>
-class TagePredictorT final : public bpu::IDirectionPredictor {
+template <class Mapping>
+class TagePredictorT final {
  public:
   TagePredictorT(const TageConfig& cfg, const Mapping* mapping,
                  std::uint64_t seed = 0x7A6E);
 
   [[nodiscard]] bpu::DirPrediction predict(std::uint64_t ip,
-                                           const bpu::ExecContext& ctx) override;
+                                           const bpu::ExecContext& ctx);
   void update(std::uint64_t ip, const bpu::ExecContext& ctx, bool taken,
-              const bpu::DirPrediction& pred) override;
-  void track(const bpu::BranchRecord& rec) override;
-  void flush() override;
-  void flush_hart(std::uint8_t hart) override;
-  [[nodiscard]] std::string_view name() const override { return cfg_.name; }
+              const bpu::DirPrediction& pred);
+  void track(const bpu::BranchRecord& rec);
+  void flush();
+  void flush_hart(std::uint8_t hart);
+  [[nodiscard]] std::string_view name() const { return cfg_.name; }
 
   [[nodiscard]] const TageConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] const std::vector<unsigned>& history_lengths() const noexcept {
@@ -238,11 +238,8 @@ class TagePredictorT final : public bpu::IDirectionPredictor {
   mutable Scratch scratch_;
 };
 
-/// Legacy dynamic-dispatch instantiation (compiled once in tage.cc).
-using TagePredictor = TagePredictorT<>;
-
 // ---------------------------------------------------------------------------
-// Implementation (template — shared verbatim by every instantiation).
+// Implementation.
 // ---------------------------------------------------------------------------
 
 template <class Mapping>
@@ -629,8 +626,5 @@ void TagePredictorT<Mapping>::flush_hart(std::uint8_t hart) {
   hs.path = 0;
   std::fill(hs.fold_value.begin(), hs.fold_value.end(), 0);
 }
-
-/// The legacy instantiation is compiled once in tage.cc.
-extern template class TagePredictorT<>;
 
 }  // namespace stbpu::tage

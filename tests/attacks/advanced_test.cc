@@ -7,13 +7,14 @@
 #include "attacks/dos.h"
 #include "attacks/gem.h"
 #include "attacks/scaled.h"
+#include "models/engine.h"
 #include "models/models.h"
 
 namespace stbpu::attacks {
 namespace {
 
 TEST(Gem, BuildsMinimalEvictionSetOnBaseline) {
-  auto m = models::BpuModel::create({.model = models::ModelKind::kUnprotected});
+  auto m = models::make_engine({.model = models::ModelKind::kUnprotected});
   GemConfig cfg;
   cfg.ways = 8;
   cfg.sets_hint = 512;
@@ -114,33 +115,33 @@ TEST(BruteReuse, EquationBoundsMeasurement) {
 }
 
 TEST(Dos, TargetedEvictionDegradesBaselineVictim) {
-  auto clean = models::BpuModel::create({.model = models::ModelKind::kUnprotected});
-  auto attacked = models::BpuModel::create({.model = models::ModelKind::kUnprotected});
+  auto clean = models::make_engine({.model = models::ModelKind::kUnprotected});
+  auto attacked = models::make_engine({.model = models::ModelKind::kUnprotected});
   const auto r = dos_eviction(*clean, *attacked, {}, /*targeted=*/true);
   EXPECT_GT(r.victim_oae_clean, 0.95);
   EXPECT_GT(r.degradation(), 0.10) << "a targeted flood must visibly hurt";
 }
 
 TEST(Dos, TargetedEvictionLosesAimOnStbpu) {
-  auto clean = models::BpuModel::create({.model = models::ModelKind::kStbpu});
-  auto attacked = models::BpuModel::create({.model = models::ModelKind::kStbpu});
+  auto clean = models::make_engine({.model = models::ModelKind::kStbpu});
+  auto attacked = models::make_engine({.model = models::ModelKind::kStbpu});
   const auto r = dos_eviction(*clean, *attacked, {}, /*targeted=*/true);
-  auto clean_b = models::BpuModel::create({.model = models::ModelKind::kUnprotected});
-  auto attacked_b = models::BpuModel::create({.model = models::ModelKind::kUnprotected});
+  auto clean_b = models::make_engine({.model = models::ModelKind::kUnprotected});
+  auto attacked_b = models::make_engine({.model = models::ModelKind::kUnprotected});
   const auto rb = dos_eviction(*clean_b, *attacked_b, {}, /*targeted=*/true);
   EXPECT_LT(r.degradation(), rb.degradation())
       << "unknown mapping forces the attacker back to blind flooding";
 }
 
 TEST(Dos, ReuseDosPoisonsBaselineButNotStbpu) {
-  auto clean = models::BpuModel::create({.model = models::ModelKind::kUnprotected});
-  auto attacked = models::BpuModel::create({.model = models::ModelKind::kUnprotected});
+  auto clean = models::make_engine({.model = models::ModelKind::kUnprotected});
+  auto attacked = models::make_engine({.model = models::ModelKind::kUnprotected});
   const auto rb = dos_reuse(*clean, *attacked, {});
   EXPECT_GT(rb.degradation(), 0.3)
       << "exact-address poisoning devastates the legacy BPU";
 
-  auto clean_s = models::BpuModel::create({.model = models::ModelKind::kStbpu});
-  auto attacked_s = models::BpuModel::create({.model = models::ModelKind::kStbpu});
+  auto clean_s = models::make_engine({.model = models::ModelKind::kStbpu});
+  auto attacked_s = models::make_engine({.model = models::ModelKind::kStbpu});
   const auto rs = dos_reuse(*clean_s, *attacked_s, {});
   EXPECT_LT(rs.degradation(), 0.1)
       << "the attacker's 'collisions' land in its own mapping";
@@ -152,14 +153,14 @@ TEST(Dos, RivalArmsResistTargetedEvictionAndReusePoisoning) {
   // either the attacker's aim is scrambled (eviction) or its writes land
   // in its own mapping / decode to garbage (reuse).
   for (const auto kind : {models::ModelKind::kCibpu, models::ModelKind::kXorIsolation}) {
-    auto clean_e = models::BpuModel::create({.model = kind});
-    auto attacked_e = models::BpuModel::create({.model = kind});
+    auto clean_e = models::make_engine({.model = kind});
+    auto attacked_e = models::make_engine({.model = kind});
     const auto ev = dos_eviction(*clean_e, *attacked_e, {}, /*targeted=*/true);
     EXPECT_GT(ev.victim_oae_clean, 0.95) << models::to_string(kind);
     EXPECT_LT(ev.degradation(), 0.05) << models::to_string(kind);
 
-    auto clean_r = models::BpuModel::create({.model = kind});
-    auto attacked_r = models::BpuModel::create({.model = kind});
+    auto clean_r = models::make_engine({.model = kind});
+    auto attacked_r = models::make_engine({.model = kind});
     const auto ru = dos_reuse(*clean_r, *attacked_r, {});
     EXPECT_LT(ru.degradation(), 0.05) << models::to_string(kind);
   }
@@ -171,12 +172,12 @@ TEST(Gem, XorIsolationLinearityLeavesGemViable) {
   // baseline — the honest weakness the three-way matrix reports. CIBPU's
   // keyed per-entity indexing (plus the monitor) breaks the same
   // construction.
-  auto xor_m = models::BpuModel::create({.model = models::ModelKind::kXorIsolation});
+  auto xor_m = models::make_engine({.model = models::ModelKind::kXorIsolation});
   const auto rx = gem_eviction_set(*xor_m, 0x0000'2345'6780ULL, {});
   EXPECT_TRUE(rx.success);
   EXPECT_LE(rx.eviction_set.size(), 8u);
 
-  auto cibpu_m = models::BpuModel::create({.model = models::ModelKind::kCibpu});
+  auto cibpu_m = models::make_engine({.model = models::ModelKind::kCibpu});
   const auto rc = gem_eviction_set(*cibpu_m, 0x0000'2345'6780ULL, {});
   EXPECT_FALSE(rc.success);
 }

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "models/engine.h"
 #include "models/models.h"
 
 namespace stbpu::attacks {
@@ -16,8 +19,8 @@ namespace {
 constexpr std::uint64_t kGadget = 0x0000'1122'3344ULL;
 constexpr unsigned kTrials = 96;
 
-std::unique_ptr<models::BpuModel> make(models::ModelKind kind) {
-  return models::BpuModel::create({.model = kind});
+std::unique_ptr<bpu::IPredictor> make(models::ModelKind kind) {
+  return models::make_engine({.model = kind});
 }
 
 // ------------------------------------------------- baseline is broken ----
@@ -197,12 +200,12 @@ TEST(Table1Stbpu, SustainedAttackTriggersRerandomization) {
   // must drain the MSRs and rotate the ST long before it gets anywhere.
   models::ModelSpec spec{.model = models::ModelKind::kStbpu};
   spec.rerand_difficulty_r = 1e-3;  // thresholds ≈ 838 misp / 530 evictions
-  auto m = models::BpuModel::create(spec);
+  auto m = models::make_engine(spec);
   ReuseSearchConfig cfg;
   cfg.max_set_size = 3000;
   cfg.internal_collision_checks = false;  // pure probing volume
   (void)reuse_collision_search(*m, cfg);
-  EXPECT_GT(m->tokens()->rerandomizations(), 0u)
+  EXPECT_GT(models::engine_rerandomizations(*m), 0u)
       << "attacker events must drain the MSR and rotate the ST";
 }
 

@@ -1,4 +1,4 @@
-// BaselineMapping tests: the legacy truncating/folding behaviour that the
+// BaselineMappingLogic tests: the legacy truncating/folding behaviour that the
 // Table I attacks rely on must hold exactly.
 #include "bpu/mapping.h"
 
@@ -11,7 +11,7 @@ const ExecContext kCtx{.pid = 1, .hart = 0, .kernel = false};
 const ExecContext kOther{.pid = 2, .hart = 0, .kernel = false};
 
 TEST(BaselineMapping, IgnoresProcessIdentity) {
-  const BaselineMapping m;
+  const BaselineMappingLogic m;
   const std::uint64_t ip = 0x1234'5678'9ABCULL & kVirtualAddressMask;
   EXPECT_EQ(m.btb_mode1(ip, kCtx), m.btb_mode1(ip, kOther))
       << "legacy BPU keys on virtual address only — cross-process collisions";
@@ -19,7 +19,7 @@ TEST(BaselineMapping, IgnoresProcessIdentity) {
 }
 
 TEST(BaselineMapping, TruncatesAbove30Bits) {
-  const BaselineMapping m;
+  const BaselineMappingLogic m;
   const std::uint64_t ip = 0x0000'2345'6780ULL;
   const std::uint64_t alias = ip + (1ULL << 30);
   EXPECT_EQ(m.btb_mode1(ip, kCtx), m.btb_mode1(alias, kCtx))
@@ -28,7 +28,7 @@ TEST(BaselineMapping, TruncatesAbove30Bits) {
 }
 
 TEST(BaselineMapping, BtbFieldWidths) {
-  const BaselineMapping m;
+  const BaselineMappingLogic m;
   for (std::uint64_t ip = 0; ip < 4096; ip += 17) {
     const BtbIndex idx = m.btb_mode1(ip * 0x9E3779B9ULL & kVirtualAddressMask, kCtx);
     EXPECT_LT(idx.set, 512u);
@@ -38,7 +38,7 @@ TEST(BaselineMapping, BtbFieldWidths) {
 }
 
 TEST(BaselineMapping, SetComesFromLowBits) {
-  const BaselineMapping m;
+  const BaselineMappingLogic m;
   // set = bits 5..13: two addresses differing only in bit 5 land in
   // adjacent sets.
   const std::uint64_t ip = 0x0000'1000'0000ULL;
@@ -46,7 +46,7 @@ TEST(BaselineMapping, SetComesFromLowBits) {
 }
 
 TEST(BaselineMapping, TagFoldCollisionsAreConstructible) {
-  const BaselineMapping m;
+  const BaselineMappingLogic m;
   // fold_xor is linear: flipping the same bit pattern in two folded chunks
   // cancels. bits 14..21 and 22..29 fold onto each other.
   const std::uint64_t ip = 0x0000'2345'6780ULL;
@@ -57,7 +57,7 @@ TEST(BaselineMapping, TagFoldCollisionsAreConstructible) {
 }
 
 TEST(BaselineMapping, Function5RebuildsNearbyTargets) {
-  const BaselineMapping m;
+  const BaselineMappingLogic m;
   const std::uint64_t branch = 0x0000'2345'6780ULL;
   const std::uint64_t target = 0x0000'2345'9000ULL;  // same upper 16 bits
   const auto stored = m.encode_target(target, kCtx);
@@ -66,7 +66,7 @@ TEST(BaselineMapping, Function5RebuildsNearbyTargets) {
 }
 
 TEST(BaselineMapping, Function5BreaksFarTargets) {
-  const BaselineMapping m;
+  const BaselineMappingLogic m;
   // A target whose upper 16 bits differ from the branch's cannot be
   // reconstructed — inherent legacy truncation loss.
   const std::uint64_t branch = 0x7FFF'0000'1000ULL;
@@ -75,13 +75,13 @@ TEST(BaselineMapping, Function5BreaksFarTargets) {
 }
 
 TEST(BaselineMapping, Mode2TagDependsOnBhb) {
-  const BaselineMapping m;
+  const BaselineMappingLogic m;
   EXPECT_NE(m.btb_mode2_tag(0x123456, kCtx), m.btb_mode2_tag(0x654321, kCtx));
   EXPECT_EQ(m.btb_mode2_tag(0x123456, kCtx), m.btb_mode2_tag(0x123456, kOther));
 }
 
 TEST(BaselineMapping, TwoLevelIndexMixesHistory) {
-  const BaselineMapping m;
+  const BaselineMappingLogic m;
   const std::uint64_t ip = 0x0000'2345'6780ULL;
   EXPECT_NE(m.pht_index_2level(ip, 0b1010, kCtx), m.pht_index_2level(ip, 0b0101, kCtx));
   // With identical history it reduces to a deterministic index.
@@ -89,7 +89,7 @@ TEST(BaselineMapping, TwoLevelIndexMixesHistory) {
 }
 
 TEST(BaselineMapping, TageHooksAreDeterministic) {
-  const BaselineMapping m;
+  const BaselineMappingLogic m;
   const std::uint64_t ip = 0x0000'2345'6780ULL;
   EXPECT_EQ(m.tage_index(ip, 0xABC, 3, 10, kCtx), m.tage_index(ip, 0xABC, 3, 10, kCtx));
   EXPECT_LT(m.tage_index(ip, 0xABC, 3, 10, kCtx), 1u << 10);

@@ -1,4 +1,4 @@
-// CorePredictor behaviour: direction learning, target caching, RSB return
+// CorePredictorT behaviour: direction learning, target caching, RSB return
 // prediction, mode-2 indirect prediction, event generation, flush scopes.
 #include "bpu/predictor.h"
 
@@ -14,8 +14,10 @@ const ExecContext kCtx{.pid = 1, .hart = 0, .kernel = false};
 
 class CorePredictorTest : public ::testing::Test {
  protected:
+  using SklCond = SklCondPredictorT<BaselineMappingLogic>;
+
   CorePredictorTest()
-      : core_({}, &mapping_, std::make_unique<SklCondPredictor>(&mapping_)) {}
+      : core_({}, &mapping_, std::make_unique<SklCond>(&mapping_)) {}
 
   AccessResult run(std::uint64_t ip, BranchType type, bool taken, std::uint64_t target,
                    const ExecContext& ctx = kCtx) {
@@ -23,8 +25,8 @@ class CorePredictorTest : public ::testing::Test {
                          .ctx = ctx});
   }
 
-  BaselineMapping mapping_;
-  CorePredictor core_;
+  BaselineMappingLogic mapping_;
+  CorePredictorT<BaselineMappingLogic, SklCond> core_;
 };
 
 TEST_F(CorePredictorTest, LearnsDirectJumpTarget) {
@@ -175,8 +177,8 @@ TEST(SklCondPredictorHarts, HartAboveOneAliasesHartOne) {
   // The predictor keeps two per-hart GHRs; every per-hart index masks the
   // hart with & 1. An update on hart 3 must therefore leave exactly the
   // state an update on hart 1 leaves, never write past the GHR array.
-  BaselineMapping mapping;
-  SklCondPredictor high(&mapping), one(&mapping);
+  BaselineMappingLogic mapping;
+  SklCondPredictorT<BaselineMappingLogic> high(&mapping), one(&mapping);
   const ExecContext ctx3{.pid = 1, .hart = 3, .kernel = false};
   const ExecContext ctx1{.pid = 1, .hart = 1, .kernel = false};
   for (std::uint64_t i = 0; i < 200; ++i) {

@@ -1,4 +1,4 @@
-// CibpuMapping: conflict-invisible keyed indexing. The defining property is
+// CibpuMappingLogic: conflict-invisible keyed indexing. The defining property is
 // that no BTB entry installed by one security domain can ever produce a tag
 // match for another — plus the arm's honest weakness, plaintext payloads.
 #include "core/cibpu_mapping.h"

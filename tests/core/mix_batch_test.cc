@@ -176,7 +176,7 @@ void expect_rt_all_matches_per_table(const tage::TageConfig& cfg, std::uint64_t 
       // Real folded keys occupy bits 0..55; mix in adversarial words too.
       index_keys[t] = i % 7 == 0 ? adversarial_words()[t % 12] & util::mask(56)
                                  : rng() & util::mask(56);
-      tag_keys[t] = tage::TagePredictor::tag_key(index_keys[t]);
+      tag_keys[t] = tage::TagePredictorT<bpu::BaselineMappingLogic>::tag_key(index_keys[t]);
     }
     std::uint32_t loop_tag = 0;
     Remapper::rt_all<UseAvx2>(psi, ip, index_keys.data(), tag_keys.data(), n,

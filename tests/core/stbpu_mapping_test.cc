@@ -1,4 +1,4 @@
-// StbpuMapping: the integration of tokens + remaps + φ codec. The isolation
+// StbpuMappingLogic: the integration of tokens + remaps + φ codec. The isolation
 // properties here are the paper's core security argument.
 #include "core/stbpu_mapping.h"
 
@@ -17,7 +17,7 @@ class StbpuMappingTest : public ::testing::Test {
  protected:
   StbpuMappingTest() : stm_(1234), map_(&stm_) {}
   STManager stm_;
-  StbpuMapping map_;
+  StbpuMappingLogic map_;
 };
 
 TEST_F(StbpuMappingTest, StablePerEntity) {

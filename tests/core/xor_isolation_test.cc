@@ -1,4 +1,4 @@
-// XorIsolationMapping: lightweight per-domain XOR index masking + φ entry
+// XorIsolationMappingLogic: lightweight per-domain XOR index masking + φ entry
 // encryption. Verifies the isolation half (cross-domain decode garbles,
 // re-key moves the masks) AND the deliberate weakness (XOR linearity: the
 // baseline's collision structure survives inside a domain).

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "attacks/table1.h"
+#include "models/engine.h"
 #include "models/models.h"
-#include "sim/bpu_sim.h"
 #include "sim/ooo.h"
 #include "trace/generator.h"
 #include "trace/instr.h"
@@ -22,12 +22,12 @@ TEST(Integration, SimulatorConsistencySklCond) {
   const char* names[] = {"mcf", "leela", "bwaves", "exchange2"};
   for (const char* name : names) {
     const auto profile = trace::profile_by_name(name);
-    auto m1 = models::BpuModel::create({});
+    auto m1 = models::make_engine({});
     trace::SyntheticWorkloadGenerator branch_gen(profile);
-    const auto trace_stats = sim::simulate_bpu(
+    const auto trace_stats = models::replay_engine(
         *m1, branch_gen, {.max_branches = 150'000, .warmup_branches = 20'000});
 
-    auto m2 = models::BpuModel::create({});
+    auto m2 = models::make_engine({});
     trace::SyntheticInstrGenerator instr_gen(profile);
     sim::OooCore core({}, m2.get(), {&instr_gen});
     const auto ooo = core.run(400'000, 40'000);
@@ -45,16 +45,16 @@ TEST(Integration, HeadlineClaimAccuracyAndSecurityTogether) {
   const auto profile = trace::profile_by_name("perlbench");
   double oae[2];
   for (int st = 0; st < 2; ++st) {
-    auto model = models::BpuModel::create(
+    auto model = models::make_engine(
         {.model = st ? models::ModelKind::kStbpu : models::ModelKind::kUnprotected});
     trace::SyntheticWorkloadGenerator gen(profile);
-    oae[st] = sim::simulate_bpu(*model, gen,
-                                {.max_branches = 300'000, .warmup_branches = 50'000})
+    oae[st] = models::replay_engine(*model, gen,
+                                    {.max_branches = 300'000, .warmup_branches = 50'000})
                   .oae();
   }
   EXPECT_GT(oae[1] / oae[0], 0.95) << "accuracy within 5% of unprotected";
 
-  auto victim_model = models::BpuModel::create({.model = models::ModelKind::kStbpu});
+  auto victim_model = models::make_engine({.model = models::ModelKind::kStbpu});
   const auto spectre =
       attacks::btb_injection_away(*victim_model, 64, 5, 0x0000'1122'3344ULL);
   EXPECT_FALSE(spectre.success) << "...while Spectre v2 is dead";
@@ -66,19 +66,19 @@ TEST(Integration, FlushModelsPayOnSwitchHeavyWorkloads) {
   const sim::BpuSimOptions opt{.max_branches = 300'000, .warmup_branches = 50'000};
   double base, ucode, stbpu;
   {
-    auto m = models::BpuModel::create({});
+    auto m = models::make_engine({});
     trace::SyntheticWorkloadGenerator gen(profile);
-    base = sim::simulate_bpu(*m, gen, opt).oae();
+    base = models::replay_engine(*m, gen, opt).oae();
   }
   {
-    auto m = models::BpuModel::create({.model = models::ModelKind::kUcode1});
+    auto m = models::make_engine({.model = models::ModelKind::kUcode1});
     trace::SyntheticWorkloadGenerator gen(profile);
-    ucode = sim::simulate_bpu(*m, gen, opt).oae();
+    ucode = models::replay_engine(*m, gen, opt).oae();
   }
   {
-    auto m = models::BpuModel::create({.model = models::ModelKind::kStbpu});
+    auto m = models::make_engine({.model = models::ModelKind::kStbpu});
     trace::SyntheticWorkloadGenerator gen(profile);
-    stbpu = sim::simulate_bpu(*m, gen, opt).oae();
+    stbpu = models::replay_engine(*m, gen, opt).oae();
   }
   EXPECT_LT(ucode / base, 0.93) << "flushing must visibly hurt server workloads";
   EXPECT_GT(stbpu / base, 0.93) << "STBPU must not";
@@ -90,11 +90,11 @@ TEST(Integration, RerandomizationIsRareUnderBenignLoad) {
   // r = 0.05 thresholds must essentially never fire on benign workloads.
   std::uint64_t total_rerands = 0;
   for (const char* name : {"bwaves", "x264", "nab", "leela"}) {
-    auto model = models::BpuModel::create({.model = models::ModelKind::kStbpu});
+    auto model = models::make_engine({.model = models::ModelKind::kStbpu});
     trace::SyntheticWorkloadGenerator gen(trace::profile_by_name(name));
-    (void)sim::simulate_bpu(*model, gen,
-                            {.max_branches = 300'000, .warmup_branches = 0});
-    total_rerands += model->tokens()->rerandomizations();
+    (void)models::replay_engine(*model, gen,
+                                {.max_branches = 300'000, .warmup_branches = 0});
+    total_rerands += models::engine_rerandomizations(*model);
   }
   EXPECT_LE(total_rerands, 8u) << "benign workloads must not thrash the ST";
 }
@@ -106,7 +106,7 @@ TEST(Integration, HistoryRetentionBeatsFlushingAfterSwitchStorm) {
   const bpu::ExecContext a{.pid = 1, .hart = 0, .kernel = false};
   const bpu::ExecContext b{.pid = 2, .hart = 0, .kernel = false};
   for (const auto kind : {models::ModelKind::kUcode1, models::ModelKind::kStbpu}) {
-    auto m = models::BpuModel::create({.model = kind});
+    auto m = models::make_engine({.model = kind});
     unsigned correct = 0;
     for (int round = 0; round < 50; ++round) {
       const auto res = m->access({.ip = 0x1000, .target = 0x9000,

@@ -165,9 +165,14 @@ TEST(OooTypedEquivalence, VisitRecoversConcreteTypeOnce) {
   }));
   EXPECT_TRUE(visited);
 
-  // Foreign predictors are reported, not mis-dispatched.
-  auto legacy = models::BpuModel::create(spec);
-  EXPECT_FALSE(models::visit_engine(*legacy, [](auto&) {}));
+  // Foreign predictors (not built by make_engine) are reported, not
+  // mis-dispatched.
+  struct Foreign final : bpu::IPredictor {
+    bpu::AccessResult access(const bpu::BranchRecord&) override { return {}; }
+    void flush() override {}
+    [[nodiscard]] std::string_view name() const override { return "foreign"; }
+  } foreign;
+  EXPECT_FALSE(models::visit_engine(foreign, [](auto&) {}));
 }
 
 }  // namespace

@@ -17,7 +17,7 @@ namespace {
 
 // --- Concept contract (compile-time; a failure here is a build break). ---
 static_assert(bpu::MappingCore<bpu::BaselineMappingLogic>);
-static_assert(bpu::MappingCore<core::StbpuMapping>);
+static_assert(bpu::MappingCore<core::StbpuMappingLogic>);
 static_assert(bpu::MappingCore<core::CachedStbpuMapping>);
 static_assert(bpu::MappingCore<core::CibpuMappingLogic>);
 static_assert(bpu::MappingCore<core::XorIsolationMappingLogic>);
@@ -30,7 +30,7 @@ static_assert(!bpu::Invalidatable<core::CibpuMappingLogic>);
 static_assert(!bpu::Invalidatable<core::XorIsolationMappingLogic>);
 static_assert(bpu::RtBatch<core::CachedStbpuMapping>);
 static_assert(!bpu::RtBatch<bpu::BaselineMappingLogic>);
-static_assert(!bpu::RtBatch<core::StbpuMapping>);  // legacy per-table oracle
+static_assert(!bpu::RtBatch<core::StbpuMappingLogic>);  // uncached per-table calls
 static_assert(!bpu::RtBatch<core::CibpuMappingLogic>);
 static_assert(!bpu::RtBatch<core::XorIsolationMappingLogic>);
 static_assert(bpu::StatsReporting<core::CachedStbpuMapping>);

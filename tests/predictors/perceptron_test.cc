@@ -29,8 +29,8 @@ class PerceptronTest : public ::testing::Test {
     return static_cast<double>(correct) / iters;
   }
 
-  bpu::BaselineMapping map_;
-  PerceptronPredictor pred_;
+  bpu::BaselineMappingLogic map_;
+  PerceptronPredictorT<bpu::BaselineMappingLogic> pred_;
 };
 
 TEST_F(PerceptronTest, ThetaFollowsJimenezLin) {
@@ -70,7 +70,7 @@ TEST_F(PerceptronTest, XorOfHistoryBitsIsHard) {
   // the global history, so a history-pattern predictor (TAGE) learns it but
   // a linear perceptron cannot (XOR is not linearly separable).
   util::Xoshiro256 rng(11);
-  tage::TagePredictor tage(tage::TageConfig::kb64(), &map_);
+  tage::TagePredictorT<bpu::BaselineMappingLogic> tage(tage::TageConfig::kb64(), &map_);
   unsigned p_correct = 0, t_correct = 0, total = 0;
   for (std::uint64_t i = 0; i < 6000; ++i) {
     const bool a = rng.chance(0.5);

@@ -53,7 +53,7 @@ class TageFoldTest : public ::testing::TestWithParam<TageConfig> {
   }
 
   void expect_folds_match(unsigned hart, const char* where) {
-    const TagePredictor::HartState& hs = pred_.hart_state(static_cast<std::uint8_t>(hart));
+    const auto& hs = pred_.hart_state(static_cast<std::uint8_t>(hart));
     const TageConfig& cfg = pred_.config();
     for (unsigned t = 0; t < cfg.num_tables; ++t) {
       const unsigned L = pred_.history_lengths()[t];
@@ -66,8 +66,8 @@ class TageFoldTest : public ::testing::TestWithParam<TageConfig> {
     }
   }
 
-  bpu::BaselineMapping map_;
-  TagePredictor pred_;
+  bpu::BaselineMappingLogic map_;
+  TagePredictorT<bpu::BaselineMappingLogic> pred_;
   std::deque<bool> outcomes_[2];  ///< newest first, per hart
 };
 

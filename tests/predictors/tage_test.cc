@@ -29,8 +29,8 @@ class TageTest : public ::testing::TestWithParam<TageConfig> {
     return static_cast<double>(correct) / iters;
   }
 
-  bpu::BaselineMapping map_;
-  TagePredictor pred_;
+  bpu::BaselineMappingLogic map_;
+  TagePredictorT<bpu::BaselineMappingLogic> pred_;
 };
 
 TEST_P(TageTest, LearnsStrongBias) {

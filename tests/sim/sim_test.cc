@@ -2,6 +2,7 @@
 // hierarchy behaviour, and OoO timing-model invariants.
 #include <gtest/gtest.h>
 
+#include "models/engine.h"
 #include "models/models.h"
 #include "sim/bpu_sim.h"
 #include "sim/cache.h"
@@ -16,7 +17,7 @@ namespace {
 // ------------------------------------------------------------ BPU sim ----
 
 TEST(BpuSim, OaeAccountsAllNecessaryPredictions) {
-  auto model = models::BpuModel::create({});
+  auto model = models::make_engine({});
   // A hand-built trace: a jump executed twice — first cold (incorrect),
   // then learned (correct).
   std::vector<bpu::BranchRecord> recs(2, {.ip = 0x1000, .target = 0x9000,
@@ -24,7 +25,8 @@ TEST(BpuSim, OaeAccountsAllNecessaryPredictions) {
                                           .taken = true,
                                           .ctx = {.pid = 1}});
   trace::VectorStream vs(recs);
-  const auto stats = simulate_bpu(*model, vs, {.max_branches = 2, .warmup_branches = 0});
+  const auto stats =
+      models::replay_engine(*model, vs, {.max_branches = 2, .warmup_branches = 0});
   EXPECT_EQ(stats.branches, 2u);
   EXPECT_EQ(stats.oae_correct, 1u);
   EXPECT_EQ(stats.mispredictions, 1u);
@@ -32,15 +34,15 @@ TEST(BpuSim, OaeAccountsAllNecessaryPredictions) {
 }
 
 TEST(BpuSim, WarmupExcludedFromStats) {
-  auto model = models::BpuModel::create({});
+  auto model = models::make_engine({});
   trace::SyntheticWorkloadGenerator gen(trace::profile_by_name("mcf"));
   const auto stats =
-      simulate_bpu(*model, gen, {.max_branches = 1000, .warmup_branches = 5000});
+      models::replay_engine(*model, gen, {.max_branches = 1000, .warmup_branches = 5000});
   EXPECT_EQ(stats.branches, 1000u);
 }
 
 TEST(BpuSim, CountsContextAndModeSwitches) {
-  auto model = models::BpuModel::create({});
+  auto model = models::make_engine({});
   std::vector<bpu::BranchRecord> recs;
   const auto mk = [](std::uint16_t pid, bool kernel) {
     return bpu::BranchRecord{.ip = 0x1000, .target = 0x9000,
@@ -52,18 +54,21 @@ TEST(BpuSim, CountsContextAndModeSwitches) {
   recs.push_back(mk(1, false));  // mode switch back
   recs.push_back(mk(2, false));  // context switch
   trace::VectorStream vs(recs);
-  const auto stats = simulate_bpu(*model, vs, {.max_branches = 4, .warmup_branches = 0});
+  const auto stats =
+      models::replay_engine(*model, vs, {.max_branches = 4, .warmup_branches = 0});
   EXPECT_EQ(stats.mode_switches, 2u);
   EXPECT_EQ(stats.context_switches, 1u);
 }
 
 TEST(BpuSim, IdenticalTraceAcrossModelsViaReset) {
   trace::SyntheticWorkloadGenerator gen(trace::profile_by_name("xz"));
-  auto m1 = models::BpuModel::create({});
-  const auto s1 = simulate_bpu(*m1, gen, {.max_branches = 20000, .warmup_branches = 0});
+  auto m1 = models::make_engine({});
+  const auto s1 =
+      models::replay_engine(*m1, gen, {.max_branches = 20000, .warmup_branches = 0});
   gen.reset();
-  auto m2 = models::BpuModel::create({});
-  const auto s2 = simulate_bpu(*m2, gen, {.max_branches = 20000, .warmup_branches = 0});
+  auto m2 = models::make_engine({});
+  const auto s2 =
+      models::replay_engine(*m2, gen, {.max_branches = 20000, .warmup_branches = 0});
   EXPECT_EQ(s1.oae_correct, s2.oae_correct) << "same model + same trace = same result";
 }
 
@@ -118,7 +123,7 @@ TEST(Cache, PrefetchHidesStreamLatency) {
 
 OooResult run_ooo(const char* workload, models::ModelSpec spec, std::uint64_t n,
                   std::uint64_t warm) {
-  auto model = models::BpuModel::create(spec);
+  auto model = models::make_engine(spec);
   trace::SyntheticInstrGenerator gen(trace::profile_by_name(workload));
   OooCore core({}, model.get(), {&gen});
   return core.run(n, warm);
@@ -146,14 +151,14 @@ TEST(Ooo, BranchHostileWorkloadIsSlower) {
 
 TEST(Ooo, MispredictionPenaltyLowersIpc) {
   // Same workload, perfect-vs-broken predictor: IPC must respond.
-  auto good = models::BpuModel::create({.direction = models::DirectionKind::kTage64});
+  auto good = models::make_engine({.direction = models::DirectionKind::kTage64});
   trace::SyntheticInstrGenerator g1(trace::profile_by_name("exchange2"));
   OooCore core1({}, good.get(), {&g1});
   const auto fast = core1.run(80'000, 8'000);
 
   OooConfig harsh;
   harsh.mispredict_penalty = 200;  // grotesque penalty amplifies the effect
-  auto bad = models::BpuModel::create({.direction = models::DirectionKind::kSklCond});
+  auto bad = models::make_engine({.direction = models::DirectionKind::kSklCond});
   trace::SyntheticInstrGenerator g2(trace::profile_by_name("exchange2"));
   OooCore core2(harsh, bad.get(), {&g2});
   const auto slow = core2.run(80'000, 8'000);
@@ -161,12 +166,12 @@ TEST(Ooo, MispredictionPenaltyLowersIpc) {
 }
 
 TEST(Ooo, SmtSharesBandwidth) {
-  auto m1 = models::BpuModel::create({.direction = models::DirectionKind::kTage64});
+  auto m1 = models::make_engine({.direction = models::DirectionKind::kTage64});
   trace::SyntheticInstrGenerator solo(trace::profile_by_name("leela"));
   OooCore solo_core({}, m1.get(), {&solo});
   const auto alone = solo_core.run(60'000, 6'000);
 
-  auto m2 = models::BpuModel::create({.direction = models::DirectionKind::kTage64});
+  auto m2 = models::make_engine({.direction = models::DirectionKind::kTage64});
   trace::SyntheticInstrGenerator a(trace::profile_by_name("leela"));
   trace::SyntheticInstrGenerator b(trace::profile_by_name("exchange2"));
   OooCore smt_core({}, m2.get(), {&a, &b});
@@ -177,7 +182,7 @@ TEST(Ooo, SmtSharesBandwidth) {
 }
 
 TEST(Ooo, HarmonicMeanBelowArithmetic) {
-  auto m = models::BpuModel::create({.direction = models::DirectionKind::kTage64});
+  auto m = models::make_engine({.direction = models::DirectionKind::kTage64});
   trace::SyntheticInstrGenerator a(trace::profile_by_name("bwaves"));
   trace::SyntheticInstrGenerator b(trace::profile_by_name("leela"));
   OooCore core({}, m.get(), {&a, &b});
