@@ -1,8 +1,9 @@
-// Remap memo-cache: direct-mapped software caches over the keyed remapping
-// functions R1/R2/R3/Rp. Rt and R4 are not memoized: their history keys
-// (TAGE folds, the 16-bit GHR slice) rarely recur, so a probe mostly
-// misses and costs more than computing the value directly (the batched
-// rt_all kernel computes a whole access's Rt outputs).
+// Remap memo-cache: the one memo-cached keyed core behind every arm that
+// keys the Remapper functions with a per-entity ψ (STBPU and CIBPU).
+// Direct-mapped software caches over R1/R2/R3/Rp; Rt and R4 are not
+// memoized: their history keys (TAGE folds, the 16-bit GHR slice) rarely
+// recur, so a probe mostly misses and costs more than computing the value
+// directly (the batched rt_all kernel computes a whole access's Rt outputs).
 //
 // Rationale: between two ψ re-keys the R functions are pure in their inputs
 // — the same (ψ, address[, history]) tuple always produces the same output,
@@ -12,6 +13,13 @@
 // is the dominant cost of STBPU simulation — CIBPU (Zhou et al., 2025)
 // makes the same observation about keyed index functions.
 //
+// The arms differ only in what a small policy class supplies: the bits an
+// arm ORs into every R1 tag above Remapper::kBtbTagBits (none for STBPU,
+// the domain fingerprint for CIBPU — core/cibpu_mapping.h) and whether the
+// target codec XORs payloads with φ. The tag bits are applied from the
+// current context after the memo lookup and never stored, so entries stay
+// keyed by (ψ, input) alone.
+//
 // Correctness contract (bit-identical to direct Remapper calls):
 //   * every entry is tagged with the complete input tuple AND the ψ that
 //     produced it — a ψ re-randomization (Monitor-triggered or explicit)
@@ -20,12 +28,12 @@
 //     needs no flushes either;
 //   * the current entity's SecretToken is itself memoized; the cache
 //     watches STManager::mutations() so any token change (re-key, explicit
-//     write, share-group edit) refetches the token AND empties the value
-//     caches before the next lookup;
+//     write, share-group edit, slot retire) refetches the token AND empties
+//     the value caches before the next lookup;
 //   * entries are additionally stamped with a generation counter.
 //     invalidate_all() bumps it (O(1) — no array sweep), emptying the
-//     cache; the engine also calls it on context switches (belt and
-//     braces — the ψ tags already prevent cross-entity reuse).
+//     cache; the engine also calls it on pid-changing context switches
+//     (belt and braces — the ψ tags already prevent cross-entity reuse).
 #pragma once
 
 #include <cstdint>
@@ -67,10 +75,12 @@ struct RemapCacheStats {
   }
 };
 
-/// STBPU mapping with memoized R functions. Drop-in for
-/// StbpuMappingLogic in the templated engine (same method set); the φ
-/// target codec is a single XOR and is not cached.
-class CachedStbpuMapping {
+/// Keyed mapping with memoized R functions, over an arm policy providing
+/// `tag_domain(ctx)` (bits ORed into the R1 tag) and `kEncryptTargets`
+/// (φ-XOR target codec vs plaintext). The codec is a single XOR or
+/// truncation and is not cached.
+template <class Policy>
+class CachedKeyedMapping {
  public:
   /// Marks this mapping as memoized/pure-between-rekeys: templated
   /// predictors may reuse R outputs across the predict/train phases of one
@@ -86,7 +96,7 @@ class CachedStbpuMapping {
   static constexpr unsigned kSiteBits = 12;   ///< R1/R3/Rp: 4096 entries
   static constexpr unsigned kHistBits = 10;   ///< R2: 1024 entries
 
-  explicit CachedStbpuMapping(STManager* stm) : stm_(stm) {}
+  explicit CachedKeyedMapping(STManager* stm) : stm_(stm) {}
 
   // R1 output packs into 22 bits (9 set + 8 tag + 5 offset) — stored as
   // one word so the hot entry stays 24 bytes.
@@ -107,7 +117,12 @@ class CachedStbpuMapping {
                                               [psi](std::uint64_t k0) {
                                                 return pack_r1(Remapper::r1(psi, k0));
                                               });
-    return unpack_r1(packed);
+    bpu::BtbIndex out = unpack_r1(packed);
+    // The arm's domain bits come from the current context, not the entry:
+    // a memo hit under a ψ shared across domains still yields each
+    // domain's own tag.
+    out.tag |= Policy::tag_domain(ctx);
+    return out;
   }
 
   [[nodiscard]] std::uint32_t btb_mode2_tag(std::uint64_t bhb,
@@ -130,15 +145,21 @@ class CachedStbpuMapping {
     return Remapper::r4(token(ctx).psi, ip, ghr);
   }
 
+  /// Stores the low 32 target bits, XORed with φ when the arm encrypts.
   [[nodiscard]] std::uint64_t encode_target(std::uint64_t target,
                                             const bpu::ExecContext& ctx) const {
-    return util::bits(target, 0, 32) ^ token(ctx).phi;
+    std::uint64_t lo = util::bits(target, 0, 32);
+    if constexpr (Policy::kEncryptTargets) lo ^= token(ctx).phi;
+    return lo;
   }
 
+  /// Function 5: decrypt with the current entity's φ (encrypting arms),
+  /// then re-extend with the upper 16 bits of the branch IP.
   [[nodiscard]] std::uint64_t decode_target(std::uint64_t branch_ip, std::uint64_t stored,
                                             const bpu::ExecContext& ctx) const {
-    const std::uint64_t lo = (stored ^ token(ctx).phi) & 0xFFFF'FFFFULL;
-    return (branch_ip & 0xFFFF'0000'0000ULL) | lo;
+    std::uint64_t lo = stored;
+    if constexpr (Policy::kEncryptTargets) lo ^= token(ctx).phi;
+    return (branch_ip & 0xFFFF'0000'0000ULL) | (lo & 0xFFFF'FFFFULL);
   }
 
   [[nodiscard]] std::uint32_t tage_index(std::uint64_t ip, std::uint64_t folded_hist,
@@ -267,8 +288,6 @@ class CachedStbpuMapping {
     return e.value;
   }
 
-
-
   STManager* stm_;
   mutable std::uint32_t generation_ = 1;
   mutable std::uint64_t mutation_snapshot_ = 0;
@@ -282,5 +301,19 @@ class CachedStbpuMapping {
   mutable Table<std::uint32_t, kSiteBits> r3_{};
   mutable Table<std::uint32_t, kSiteBits> rp_{};
 };
+
+/// STBPU (paper §IV): no tag widening; targets are stored XOR-encrypted
+/// with the entity's φ, so a payload written under another φ decodes to a
+/// uniformly random 32-bit offset.
+struct StbpuPolicy {
+  [[nodiscard]] static constexpr std::uint64_t tag_domain(const bpu::ExecContext&) noexcept {
+    return 0;
+  }
+  static constexpr bool kEncryptTargets = true;
+};
+
+/// The engine's STBPU mapping (the uncached StbpuMappingLogic computes the
+/// same values).
+using CachedStbpuMapping = CachedKeyedMapping<StbpuPolicy>;
 
 }  // namespace stbpu::core

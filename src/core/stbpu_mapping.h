@@ -5,8 +5,9 @@
 // with the predictors, matching the paper's claim that STBPU does not
 // interfere with the prediction mechanisms themselves.
 //
-// The engine's STBPU arm wraps StbpuMappingLogic in the memo-caching
-// CachedStbpuMapping (core/remap_cache.h).
+// The engine's STBPU arm uses the memo-caching CachedStbpuMapping
+// (core/remap_cache.h), which computes the same values; this uncached
+// logic serves the ablation and scaled attack targets.
 #pragma once
 
 #include "bpu/mapping.h"

@@ -14,9 +14,10 @@
 // capabilities (bpu::Invalidatable / RtBatch / StatsReporting) are
 // detected per arm — see bpu/mapping.h for the documented contract.
 //
-// STBPU engines additionally route R1-R4/Rp through the remap memo-cache
-// (core/remap_cache.h), exploiting that R outputs are constant between ψ
-// re-keys; TAGE's Rt keys are computed per access in one batched mix.
+// The STBPU and CIBPU engines route R1/R2/R3/Rp through one memo-cached
+// keyed core (core/remap_cache.h), exploiting that R outputs are constant
+// between ψ re-keys; TAGE's Rt keys are computed per access in one batched
+// mix.
 //
 // The engine's statistics are pinned by the golden-digest table in
 // tests/integration/golden_digest_test.cc.
@@ -181,7 +182,7 @@ using RegisteredArms = std::tuple<
     ArmDef<ModelKind::kConservative, ConservativeMappingLogic, false, true,
            ConservativeMappingLogic::kSets>,
     ArmDef<ModelKind::kStbpu, core::CachedStbpuMapping, true>,
-    ArmDef<ModelKind::kCibpu, core::CibpuMappingLogic, true>,
+    ArmDef<ModelKind::kCibpu, core::CachedCibpuMapping, true>,
     ArmDef<ModelKind::kXorIsolation, core::XorIsolationMappingLogic, true>>;
 
 namespace detail {
@@ -264,8 +265,8 @@ bool visit_engine(bpu::IPredictor& engine, Fn&& fn) {
   return detail::visit_engine_list(engine, fn, detail::UniqueEngineMappings{});
 }
 
-/// Remap-cache statistics of an STBPU engine built by make_engine
-/// (zeros for non-STBPU engines or foreign predictors).
+/// Remap-cache statistics of a memo-cached engine (STBPU, CIBPU) built by
+/// make_engine (zeros for other arms or foreign predictors).
 [[nodiscard]] core::RemapCacheStats engine_remap_cache_stats(const bpu::IPredictor& engine);
 
 /// Event monitor of a token-keyed engine built by make_engine (nullptr for

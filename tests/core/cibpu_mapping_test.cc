@@ -1,6 +1,7 @@
-// CibpuMappingLogic: conflict-invisible keyed indexing. The defining property is
-// that no BTB entry installed by one security domain can ever produce a tag
-// match for another — plus the arm's honest weakness, plaintext payloads.
+// CachedCibpuMapping: conflict-invisible keyed indexing on the memo-cached
+// keyed core. The defining property is that no BTB entry installed by one
+// security domain can ever produce a tag match for another — memo hits
+// included — plus the arm's honest weakness, plaintext payloads.
 #include "core/cibpu_mapping.h"
 
 #include <gtest/gtest.h>
@@ -21,20 +22,20 @@ class CibpuMappingTest : public ::testing::Test {
  protected:
   CibpuMappingTest() : stm_(1234), map_(&stm_) {}
   STManager stm_;
-  CibpuMappingLogic map_;
+  CachedCibpuMapping map_;
 };
 
 TEST_F(CibpuMappingTest, FingerprintInjectiveOverAllDomains) {
   // The fingerprint is the identity on (pid, privilege): every one of the
   // 2^17 domains gets a distinct value, so the "structurally impossible"
   // claim is exact, not probabilistic.
-  std::vector<bool> seen(1u << CibpuMappingLogic::kDomainFingerprintBits, false);
+  std::vector<bool> seen(1u << CibpuPolicy::kDomainFingerprintBits, false);
   for (std::uint32_t pid = 0; pid < STManager::kMaxPids; ++pid) {
     for (const bool kernel : {false, true}) {
       const bpu::ExecContext ctx{.pid = static_cast<std::uint16_t>(pid),
                                  .hart = 0,
                                  .kernel = kernel};
-      const std::uint32_t fp = CibpuMappingLogic::domain_fingerprint(ctx);
+      const std::uint32_t fp = CibpuPolicy::domain_fingerprint(ctx);
       ASSERT_LT(fp, seen.size());
       ASSERT_FALSE(seen[fp]) << "fingerprint collision at pid " << pid;
       seen[fp] = true;
@@ -58,7 +59,7 @@ TEST_F(CibpuMappingTest, CrossDomainTagsNeverMatch) {
     ASSERT_NE(b.tag, k.tag);
     // The fingerprint rides above the keyed bits, untouched by them.
     ASSERT_EQ(a.tag >> Remapper::kBtbTagBits,
-              CibpuMappingLogic::domain_fingerprint(kUserA));
+              CibpuPolicy::domain_fingerprint(kUserA));
   }
 }
 
@@ -79,6 +80,34 @@ TEST_F(CibpuMappingTest, ReKeyChangesIndexesForThatDomainOnly) {
         << "re-keying A must not disturb B";
   }
   EXPECT_GT(moved, ips.size() * 9 / 10);
+}
+
+TEST_F(CibpuMappingTest, ConflictInvisibleOnMemoHit) {
+  // Two domains under one ψ look up the same ip: the second lookup is
+  // served from the first one's R1 entry, yet its tag must carry its own
+  // fingerprint — the fingerprint is applied after the memo lookup, never
+  // stored in the entry.
+  const auto check = [&](const bpu::ExecContext& first, const bpu::ExecContext& second,
+                         std::uint64_t ip) {
+    ASSERT_EQ(stm_.token(first).psi, stm_.token(second).psi);
+    const auto a = map_.btb_mode1(ip, first);
+    const auto r1_hits = map_.stats().fn_hits[RemapCacheStats::kR1];
+    const auto b = map_.btb_mode1(ip, second);
+    EXPECT_EQ(map_.stats().fn_hits[RemapCacheStats::kR1], r1_hits + 1)
+        << "the same ψ must be served from the R1 entry";
+    EXPECT_EQ(a.set, b.set);
+    EXPECT_EQ(a.offset, b.offset);
+    EXPECT_EQ(a.tag & 0xFFu, b.tag & 0xFFu) << "keyed tag bits come from the shared entry";
+    EXPECT_NE(a.tag, b.tag);
+    EXPECT_EQ(a.tag >> Remapper::kBtbTagBits, CibpuPolicy::domain_fingerprint(first));
+    EXPECT_EQ(b.tag >> Remapper::kBtbTagBits, CibpuPolicy::domain_fingerprint(second));
+  };
+  // Two pids in one share group.
+  stm_.share(kUserB.pid, kUserA.pid);
+  check(kUserA, kUserB, 0x0000'2345'6780ULL);
+  // Kernel vs user on one pid, the kernel given the user's token.
+  stm_.set_token(kKernelA, stm_.token(kUserA));
+  check(kUserA, kKernelA, 0x0000'7654'3210ULL);
 }
 
 TEST_F(CibpuMappingTest, PlaintextCodecIsTheHonestWeakness) {

@@ -19,22 +19,25 @@ namespace {
 static_assert(bpu::MappingCore<bpu::BaselineMappingLogic>);
 static_assert(bpu::MappingCore<core::StbpuMappingLogic>);
 static_assert(bpu::MappingCore<core::CachedStbpuMapping>);
-static_assert(bpu::MappingCore<core::CibpuMappingLogic>);
+static_assert(bpu::MappingCore<core::CachedCibpuMapping>);
 static_assert(bpu::MappingCore<core::XorIsolationMappingLogic>);
-// Optional capabilities: only the cached STBPU mapping invalidates, batches
-// Rt and reports stats; the baseline and the rivals must NOT accidentally
-// grow those hooks without the engine noticing.
+// Optional capabilities: only the memo-cached keyed core (the STBPU and
+// CIBPU mappings) invalidates, batches Rt and reports stats; the baseline,
+// the uncached STBPU logic and XOR isolation must NOT accidentally grow
+// those hooks without the engine noticing.
 static_assert(bpu::Invalidatable<core::CachedStbpuMapping>);
+static_assert(bpu::Invalidatable<core::CachedCibpuMapping>);
 static_assert(!bpu::Invalidatable<bpu::BaselineMappingLogic>);
-static_assert(!bpu::Invalidatable<core::CibpuMappingLogic>);
 static_assert(!bpu::Invalidatable<core::XorIsolationMappingLogic>);
 static_assert(bpu::RtBatch<core::CachedStbpuMapping>);
+static_assert(bpu::RtBatch<core::CachedCibpuMapping>);
 static_assert(!bpu::RtBatch<bpu::BaselineMappingLogic>);
 static_assert(!bpu::RtBatch<core::StbpuMappingLogic>);  // uncached per-table calls
-static_assert(!bpu::RtBatch<core::CibpuMappingLogic>);
 static_assert(!bpu::RtBatch<core::XorIsolationMappingLogic>);
 static_assert(bpu::StatsReporting<core::CachedStbpuMapping>);
+static_assert(bpu::StatsReporting<core::CachedCibpuMapping>);
 static_assert(!bpu::StatsReporting<bpu::BaselineMappingLogic>);
+static_assert(!bpu::StatsReporting<core::XorIsolationMappingLogic>);
 
 TEST(MappingRegistry, ToStringParseRoundTripsEveryRegisteredKind) {
   for (const ModelKind kind : all_model_kinds()) {
