@@ -37,7 +37,7 @@ struct BtbIndex;
 // satisfy MappingCore — the nine index/tag/codec functions of the paper's
 // Figure 1 + Table II, all callable on a const object (mappings are pure
 // between re-keys; mutable internals like memo-caches must be logically
-// const). The three capability concepts below are optional: the engine
+// const). The two capability concepts below are optional: the engine
 // detects them per arm and lights up the corresponding machinery, so a new
 // mapping opts in by simply providing the member. Registration
 // static_asserts MappingCore for every arm (see engine.h), turning a
@@ -72,13 +72,6 @@ concept MappingCore =
       // Rp — perceptron row selection.
       { m.perceptron_row(a, bits, ctx) } -> std::convertible_to<std::uint32_t>;
     };
-
-/// Optional capability: the mapping holds invalidatable derived state
-/// (e.g. a memo-cache) that the engine empties on context switches —
-/// belt-and-braces hygiene, never a correctness requirement (derived state
-/// must already be tagged/validated against re-keys).
-template <class M>
-concept Invalidatable = requires(const M m) { m.invalidate_all(); };
 
 /// The TAGE loop predictor keys its tag through the Rt tag function with a
 /// zero history under this pseudo-table number and output width.

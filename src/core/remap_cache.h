@@ -32,8 +32,8 @@
 //     the value caches before the next lookup;
 //   * entries are additionally stamped with a generation counter.
 //     invalidate_all() bumps it (O(1) — no array sweep), emptying the
-//     cache; the engine also calls it on pid-changing context switches
-//     (belt and braces — the ψ tags already prevent cross-entity reuse).
+//     cache; the mutation watch above calls it. Context switches need no
+//     call: the ψ tags already prevent cross-entity reuse.
 #pragma once
 
 #include <cstdint>
@@ -196,8 +196,8 @@ class CachedKeyedMapping {
     });
   }
 
-  /// Empty every cached entry (O(1) generation bump). Called by the engine
-  /// on context switches; token mutations are also caught automatically.
+  /// Empty every cached entry (O(1) generation bump). Called on every
+  /// STManager mutation (see token()); tests call it directly.
   void invalidate_all() const {
     ++stats_.invalidations;
     if (++generation_ == 0) {

@@ -11,8 +11,8 @@
 // parametrized test/attack harnesses all iterate that list, so adding an
 // arm is a one-line edit here (plus a name row in models.cc). Registration
 // static_asserts the bpu::MappingCore concept, and the optional
-// capabilities (bpu::Invalidatable / RtBatch / StatsReporting) are
-// detected per arm — see bpu/mapping.h for the documented contract.
+// capabilities (bpu::RtBatch / StatsReporting) are detected per arm — see
+// bpu/mapping.h for the documented contract.
 //
 // The STBPU and CIBPU engines route R1/R2/R3/Rp through one memo-cached
 // keyed core (core/remap_cache.h), exploiting that R outputs are constant
@@ -72,12 +72,6 @@ class EngineT final : public bpu::IPredictor {
   static constexpr std::size_t kPrecomputeWindow = 512;
 
   void on_switch(const bpu::ExecContext& from, const bpu::ExecContext& to) override {
-    // Invalidatable mappings empty their derived state (memo-cache) on
-    // context switches — entries are ψ-tagged, so this is belt-and-braces,
-    // not a correctness requirement.
-    if constexpr (bpu::Invalidatable<Mapping>) {
-      if (from.pid != to.pid) mapping_.invalidate_all();
-    }
     if (apply_switch_policy(from, to)) ++flushes_;
   }
 

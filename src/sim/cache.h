@@ -3,14 +3,27 @@
 // inclusive fills. Shared between SMT threads, so cross-thread conflict
 // misses arise naturally.
 //
-// Metadata layout: each set is ONE interleaved array of packed words —
-// entry = (tag << kRankBits) | rank — instead of the former two parallel
-// tag/LRU arrays. A set scan therefore touches one contiguous run (an
-// associativity-8 set is exactly one 64-byte cache line, the same trick as
-// the SoA BTB's packed match keys), and the metadata footprint halves
-// (8 bytes per line instead of tag + u64 LRU clock). The rank field is the
-// entry's exact LRU position within its set (0 = least recent), which
-// reproduces the former global-clock LRU decisions bit for bit:
+// Metadata layout: two arrays, both indexed by set.
+//   * Tags: one u64 per way, `ways` per set. ~0 marks an invalid way; a
+//     real tag is a line address (below 2^58), so it never equals ~0.
+//   * Ranks: each way's exact LRU position within its set (0 = least
+//     recent, ways-1 = most recent) as one signed byte lane. A set's lanes
+//     fill ceil(ways/16) 16-byte chunks; unused lanes hold 0x80 (-128),
+//     which is never zero and never greater than a rank.
+// The ranks of a set are always a permutation of 0..ways-1, so the only
+// per-way branch of an access is the tag scan's hit exit:
+//   * hit: the scan stops at the way holding the tag; the pivot is that
+//     way's rank;
+//   * miss: the victim is the single rank-0 lane; its tag is overwritten
+//     and the pivot is 0;
+//   * both: the touched way is the lane equal to the pivot. Every lane
+//     ranked above the pivot drops by one and the touched lane rises to
+//     ways-1: per chunk, one signed compare-gt, one compare-eq and adds.
+// The chunk arithmetic is written once with GCC/Clang vector extensions,
+// which lower to SSE2 pcmpgtb/pcmpeqb/paddb on x86-64 and to portable code
+// elsewhere.
+//
+// This reproduces the original global-clock LRU bit for bit:
 //   * the old victim was the set's minimum clock value, scan order breaking
 //     ties among never-touched ways (all clock 0) — i.e. exactly the
 //     rank-0 way, with untouched ways holding the lowest ranks in way
@@ -24,12 +37,13 @@
 // and asserts hit/miss sequences and counters are identical.
 #pragma once
 
+#include <algorithm>
 #include <bit>
-#include <cassert>
 #include <cstdint>
+#include <cstring>
+#include <stdexcept>
+#include <string>
 #include <vector>
-
-#include "util/bits.h"
 
 namespace stbpu::sim {
 
@@ -42,26 +56,26 @@ struct CacheLevelConfig {
 class CacheLevel {
  public:
   static constexpr std::uint32_t kLineBytes = 64;
-  /// Rank bits in a packed entry (supports up to 64 ways, leaving 58 tag
-  /// bits — every line address below 2^58 is representable, i.e. the whole
-  /// byte-address space; the top tag value is reserved as "invalid").
-  static constexpr std::uint32_t kRankBits = 6;
-  static constexpr std::uint64_t kRankMask = (std::uint64_t{1} << kRankBits) - 1;
-  static constexpr std::uint64_t kInvalidTag =
-      (std::uint64_t{1} << (64 - kRankBits)) - 1;
+  /// Every rank and every way number + 1 must fit a signed byte lane.
+  static constexpr std::uint32_t kMaxWays = 64;
+  static constexpr std::uint64_t kInvalidTag = ~std::uint64_t{0};
 
+  /// Throws std::invalid_argument unless 1 <= ways <= 64 and the level
+  /// holds at least one set (size_kb * 1024 >= 64 * ways).
   explicit CacheLevel(const CacheLevelConfig& cfg)
-      : cfg_(cfg),
-        sets_(cfg.size_kb * 1024 / kLineBytes / cfg.ways),
+      : cfg_(validated(cfg)),
+        sets_(std::uint64_t{cfg.size_kb} * 1024 / kLineBytes / cfg.ways),
         set_shift_(std::has_single_bit(sets_) ? std::countr_zero(sets_) : 0),
-        entries_(std::size_t{sets_} * cfg.ways) {
-    assert(cfg.ways >= 1 && cfg.ways <= kRankMask + 1 &&
-           "packed rank field supports up to 64 ways");
-    // Invalid tags everywhere; initial ranks in way order, so the first
-    // misses fill way 0, 1, ... — the old clock scheme's tie-break.
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-      entries_[i] = (kInvalidTag << kRankBits) | (i % cfg.ways);
+        chunks_((cfg.ways + kLanes - 1) / kLanes),
+        tags_(sets_ * cfg.ways, kInvalidTag),
+        ranks_(sets_ * chunks_) {
+    // Initial ranks in way order, so the first misses fill way 0, 1, ... —
+    // the old clock scheme's tie-break. Every set starts like the first.
+    for (std::uint32_t way = 0; way < chunks_ * kLanes; ++way) {
+      ranks_[way / kLanes][way % kLanes] =
+          way < cfg.ways ? static_cast<std::int8_t>(way) : kUnusedLane;
     }
+    for (std::size_t i = chunks_; i < ranks_.size(); ++i) ranks_[i] = ranks_[i - chunks_];
   }
 
   /// True on hit; on miss the line is filled (LRU victim).
@@ -71,39 +85,51 @@ class CacheLevel {
     // split is a shift+mask on the hot path; the divide stays as the exact
     // fallback for odd configs (identical values either way — this is the
     // cycle-level simulator's hottest function, see ROADMAP).
-    std::uint32_t set;
+    std::uint64_t set;
     std::uint64_t tag;
     if (set_shift_ != 0 || sets_ == 1) {
-      set = static_cast<std::uint32_t>(line & (sets_ - 1));
+      set = line & (sets_ - 1);
       tag = line >> set_shift_;
     } else {
-      set = static_cast<std::uint32_t>(line % sets_);
+      set = line % sets_;
       tag = line / sets_;
     }
-    assert(tag < kInvalidTag && "address exceeds the packed-tag range");
-    std::uint64_t* e = entries_.data() + std::size_t{set} * cfg_.ways;
-    const std::uint64_t ways = cfg_.ways;
-    const std::uint64_t key = tag << kRankBits;
+    const std::uint32_t ways = cfg_.ways;
+    std::uint64_t* t = tags_.data() + set * ways;
+    RankChunk* r = ranks_.data() + set * chunks_;
 
-    std::uint64_t victim = 0;
-    for (std::uint64_t w = 0; w < ways; ++w) {
-      if ((e[w] & ~kRankMask) == key) {
-        // Promote to most-recent: ranks above the old position slide down.
-        const std::uint64_t r = e[w] & kRankMask;
-        for (std::uint64_t v = 0; v < ways; ++v) {
-          if ((e[v] & kRankMask) > r) --e[v];
-        }
-        e[w] = key | (ways - 1);
-        ++hits_;
-        return true;
+    // The touched way's rank: the hit way's (a set's tags are distinct), or
+    // 0 for the LRU victim. An early-exit scan beats building a match mask:
+    // its branch is the hit/miss outcome the caller branches on anyway.
+    bool hit = false;
+    std::int8_t pivot = 0;
+    for (std::uint32_t w = 0; w < ways; ++w) {
+      if (t[w] == tag) {
+        hit = true;
+        pivot = r[w / kLanes][w % kLanes];
+        break;
       }
-      if ((e[w] & kRankMask) == 0) victim = w;
     }
-    // Miss: evict the rank-0 (least recent) way, fill as most-recent.
-    for (std::uint64_t v = 0; v < ways; ++v) {
-      if ((e[v] & kRankMask) != 0) --e[v];
+    // The touched lane is the one equal to the pivot (ranks are a
+    // permutation): it rises to ways-1 while every lane above the pivot
+    // slides down (a true compare is -1). Whole-chunk stores only, so the
+    // next access's chunk loads forward from them. `found` sums each
+    // touched lane's way + 1 for the miss path.
+    const RankChunk above = RankChunk{} + pivot;
+    const RankChunk lift = RankChunk{} + static_cast<std::int8_t>(ways - 1 - pivot);
+    RankChunk found{};
+    RankChunk way_plus1{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16};
+    for (std::uint32_t k = 0, chunks = chunks_; k < chunks; ++k) {
+      const RankChunk touched = r[k] == above;
+      found += touched & way_plus1;
+      way_plus1 += static_cast<std::int8_t>(kLanes);
+      r[k] += (r[k] > above) + (touched & lift);
     }
-    e[victim] = key | (ways - 1);
+    if (hit) {
+      ++hits_;
+      return true;
+    }
+    t[byte_sum(found) - 1] = tag;
     ++misses_;
     return false;
   }
@@ -111,9 +137,7 @@ class CacheLevel {
   void flush() {
     // Invalidate tags but keep recency ranks (the old layout kept the LRU
     // clocks), so the post-flush fill order is the pre-flush LRU order.
-    for (std::uint64_t& e : entries_) {
-      e = (kInvalidTag << kRankBits) | (e & kRankMask);
-    }
+    std::fill(tags_.begin(), tags_.end(), kInvalidTag);
   }
 
   [[nodiscard]] std::uint32_t latency() const noexcept { return cfg_.latency; }
@@ -121,11 +145,41 @@ class CacheLevel {
   [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }
 
  private:
+  /// One chunk of 16 rank lanes.
+  using RankChunk = std::int8_t __attribute__((vector_size(16)));
+  static constexpr std::uint32_t kLanes = sizeof(RankChunk);
+  static constexpr std::int8_t kUnusedLane = -128;
+
+  static const CacheLevelConfig& validated(const CacheLevelConfig& cfg) {
+    if (cfg.ways == 0 || cfg.ways > kMaxWays) {
+      throw std::invalid_argument("CacheLevelConfig: ways must be in 1..64, got " +
+                                  std::to_string(cfg.ways));
+    }
+    if (std::uint64_t{cfg.size_kb} * 1024 < std::uint64_t{kLineBytes} * cfg.ways) {
+      throw std::invalid_argument("CacheLevelConfig: size_kb=" + std::to_string(cfg.size_kb) +
+                                  " holds no set of " + std::to_string(cfg.ways) +
+                                  " 64-byte lines");
+    }
+    return cfg;
+  }
+
+  /// Sum of a chunk's bytes, each at most 64 (one nonzero lane per set):
+  /// no byte of the two halves' sum carries, so the multiply gathers the
+  /// total into the top byte, whatever the byte order.
+  static std::uint32_t byte_sum(const RankChunk& c) {
+    std::uint64_t half[2];
+    std::memcpy(half, &c, sizeof(c));
+    return static_cast<std::uint32_t>(((half[0] + half[1]) * 0x0101010101010101ULL) >> 56);
+  }
+
   CacheLevelConfig cfg_;
-  std::uint32_t sets_;
+  std::uint64_t sets_;
   std::uint32_t set_shift_;  ///< log2(sets_) when sets_ is a power of two, else 0
-  /// Interleaved per-set metadata: sets_ × ways packed (tag | rank) words.
-  std::vector<std::uint64_t> entries_;
+  std::uint32_t chunks_;     ///< rank chunks per set: ceil(ways / 16)
+  /// sets_ × ways tags.
+  std::vector<std::uint64_t> tags_;
+  /// sets_ × chunks_ rank chunks.
+  std::vector<RankChunk> ranks_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };

@@ -22,13 +22,9 @@ static_assert(bpu::MappingCore<core::CachedStbpuMapping>);
 static_assert(bpu::MappingCore<core::CachedCibpuMapping>);
 static_assert(bpu::MappingCore<core::XorIsolationMappingLogic>);
 // Optional capabilities: only the memo-cached keyed core (the STBPU and
-// CIBPU mappings) invalidates, batches Rt and reports stats; the baseline,
+// CIBPU mappings) batches Rt and reports stats; the baseline,
 // the uncached STBPU logic and XOR isolation must NOT accidentally grow
 // those hooks without the engine noticing.
-static_assert(bpu::Invalidatable<core::CachedStbpuMapping>);
-static_assert(bpu::Invalidatable<core::CachedCibpuMapping>);
-static_assert(!bpu::Invalidatable<bpu::BaselineMappingLogic>);
-static_assert(!bpu::Invalidatable<core::XorIsolationMappingLogic>);
 static_assert(bpu::RtBatch<core::CachedStbpuMapping>);
 static_assert(bpu::RtBatch<core::CachedCibpuMapping>);
 static_assert(!bpu::RtBatch<bpu::BaselineMappingLogic>);

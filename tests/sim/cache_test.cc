@@ -1,13 +1,15 @@
-// Interleaved cache-metadata equivalence: sim::CacheLevel packs each set's
-// tag+LRU state into one interleaved array of (tag << rank) words; the old
+// Cache-metadata equivalence: sim::CacheLevel keeps one tag array and
+// per-set LRU ranks as signed byte lanes in 16-byte chunks; the original
 // layout kept two parallel tag/global-clock arrays. The replacement
 // decisions must be BIT-IDENTICAL — same hit/miss outcome on every access,
-// same victim on every fill, same counters — including across flushes and
-// on adversarial (mcf-like miss-heavy) patterns. The reference below is
-// the retained pre-interleave implementation, verbatim.
+// same victim on every fill, same counters — including across flushes, on
+// adversarial (mcf-like miss-heavy) patterns and on associativities that
+// fill a rank chunk only partly or span several. The reference below is
+// the original implementation, verbatim.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/cache.h"
@@ -132,6 +134,39 @@ TEST(CacheInterleaved, OddGeometriesBitIdentical) {
   expect_level_equivalent({.size_kb = 16, .ways = 1, .latency = 4}, 7, false);
   expect_level_equivalent({.size_kb = 24, .ways = 3, .latency = 4}, 8, true);
   expect_level_equivalent({.size_kb = 4, .ways = 64 / 1, .latency = 4}, 9, false);
+}
+
+TEST(CacheInterleaved, LaneBoundaryGeometriesBitIdentical) {
+  // Associativities around the 16-lane rank chunk: partly filled chunks
+  // (12, 17, 20, 33 ways), several chunks (17 through 48 ways) and whole
+  // chunks (48), on power-of-two and non-power-of-two set counts.
+  for (const bool with_flush : {false, true}) {
+    expect_level_equivalent({.size_kb = 48, .ways = 12, .latency = 4}, 10, with_flush);
+    expect_level_equivalent({.size_kb = 34, .ways = 17, .latency = 4}, 11, with_flush);
+    expect_level_equivalent({.size_kb = 30, .ways = 20, .latency = 4}, 12, with_flush);
+    expect_level_equivalent({.size_kb = 66, .ways = 33, .latency = 4}, 13, with_flush);
+    expect_level_equivalent({.size_kb = 24, .ways = 48, .latency = 4}, 14, with_flush);
+  }
+}
+
+TEST(CacheInterleaved, RejectsZeroWays) {
+  EXPECT_THROW(sim::CacheLevel({.size_kb = 32, .ways = 0, .latency = 4}),
+               std::invalid_argument);
+}
+
+TEST(CacheInterleaved, RejectsMoreThan64Ways) {
+  EXPECT_THROW(sim::CacheLevel({.size_kb = 32, .ways = 65, .latency = 4}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(sim::CacheLevel({.size_kb = 4, .ways = 64, .latency = 4}));
+}
+
+TEST(CacheInterleaved, RejectsGeometryWithoutASet) {
+  // 1 KB holds 16 lines: fewer than one 32-way set.
+  EXPECT_THROW(sim::CacheLevel({.size_kb = 1, .ways = 32, .latency = 4}),
+               std::invalid_argument);
+  EXPECT_THROW(sim::CacheLevel({.size_kb = 0, .ways = 1, .latency = 4}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(sim::CacheLevel({.size_kb = 1, .ways = 16, .latency = 4}));
 }
 
 TEST(CacheInterleaved, HierarchyLatenciesAndCountersUnchanged) {

@@ -2,6 +2,8 @@
 // hierarchy behaviour, and OoO timing-model invariants.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "models/engine.h"
 #include "models/models.h"
 #include "sim/bpu_sim.h"
@@ -83,9 +85,8 @@ TEST(Cache, ColdMissThenHit) {
 }
 
 TEST(Cache, LruEvictionWithinSet) {
-  // 2-way tiny cache: 2 sets of 2 ways (256B, 64B lines).
-  CacheLevel c({.size_kb = 0, .ways = 2, .latency = 1});
-  // size 0KB is degenerate — use a small real one instead.
+  // 0 KB holds no set and is rejected; use a small real cache instead.
+  EXPECT_THROW(CacheLevel({.size_kb = 0, .ways = 2, .latency = 1}), std::invalid_argument);
   CacheLevel tiny({.size_kb = 1, .ways = 2, .latency = 1});  // 8 sets
   const std::uint64_t stride = 8 * 64;  // same set
   tiny.access(0 * stride);
