@@ -4,11 +4,23 @@
 // generator in src/remapgen/: alternating substitution layers (PRESENT and
 // SPONGENT 4-bit S-boxes, applied nibble-parallel), permutation layers
 // (fixed wire crossings, realised branch-free as delta swaps + rotations),
-// and XOR compression layers — no multiplies, no table-driven rounds, so
-// the transistor-count argument of §V-A (critical path ≤ 45 transistors,
-// single cycle) carries over. The functions consume the full 48-bit virtual
-// address (crucial against same-address-space attacks [78]) plus the 32-bit
-// ψ key, and differ from one another by fixed round tweaks.
+// σ diffusion layers (rotate-XORs) and XOR compression layers — no
+// multiplies, so the transistor-count argument of §V-A (critical path ≤ 45
+// transistors, single cycle) carries over. The functions consume the full
+// 48-bit virtual address (crucial against same-address-space attacks [78])
+// plus the 32-bit ψ key, and differ from one another by fixed round tweaks.
+//
+// The circuit is what §V-A prices; only its software rendering is
+// table-driven. Everything a round does after its S-box layer (P-box
+// wiring, σ, and in the last round the final fold) is GF(2)-linear, so a
+// whole round is the XOR of eight byte-indexed tables — the classic
+// T-table form of an SPN: T_r[j][b] is the round's wiring applied to S-box
+// byte b placed at byte j. The three round tables (kMixRound1..3, 8 × 256
+// u64 each, 48 KiB of read-only data) are built at compile time from the
+// S-box LUTs and the layered wiring below; the key and `hi` XORs stay
+// between rounds. tests/core/remap_kat_test.cc checks every table entry
+// against the layered S → P → σ composition and pins mix() and every R
+// function to known-answer rows from the layered rendering.
 //
 // tests/core/remap_test.cc validates the same C2 (uniformity) and C3
 // (avalanche) criteria the generator enforces, over every R function.
@@ -43,8 +55,8 @@ inline constexpr std::array<std::uint8_t, 16> kPresentSbox = {
 inline constexpr std::array<std::uint8_t, 16> kSpongentSbox = {
     0xE, 0xD, 0xB, 0x0, 0x2, 0x1, 0x4, 0xF, 0x7, 0xA, 0x8, 0x5, 0x9, 0xC, 0x3, 0x6};
 
-/// Expand a 4-bit S-box into a byte-level LUT (two parallel S-boxes), so a
-/// 64-bit substitution layer is eight table reads.
+/// Expand a 4-bit S-box into a byte-level LUT (two parallel S-boxes): the
+/// substitution half of each round table below.
 consteval std::array<std::uint8_t, 256> expand_sbox(
     const std::array<std::uint8_t, 16>& s) {
   std::array<std::uint8_t, 256> t{};
@@ -76,6 +88,8 @@ consteval std::array<std::uint16_t, 65536> expand_sbox16(
 inline constexpr auto kPresentLut16 = expand_sbox16(kPresentByteLut);
 inline constexpr auto kSpongentLut16 = expand_sbox16(kSpongentByteLut);
 
+/// The layered 64-bit substitution layer, eight byte-LUT reads. No runtime
+/// path calls it any more; the tests check the round tables against it.
 template <const std::array<std::uint8_t, 256>& Lut>
 constexpr std::uint64_t sbox_layer(std::uint64_t x) noexcept {
   std::uint64_t r = 0;
@@ -127,70 +141,105 @@ constexpr std::uint64_t sigma(std::uint64_t x, unsigned a, unsigned b) noexcept 
   return x ^ util::rotl64(x, a) ^ util::rotl64(x, b);
 }
 
+/// The GF(2)-linear wiring that follows each round's S-box layer in the
+/// circuit: P-box then σ in rounds 1 and 2; σ then the final XOR
+/// compression (C-S box row: fold the halves together) in round 3.
+constexpr std::uint64_t round1_wiring(std::uint64_t x) noexcept {
+  return sigma(pbox_a(x), 19, 43);
+}
+constexpr std::uint64_t round2_wiring(std::uint64_t x) noexcept {
+  return sigma(pbox_b(x), 11, 50);
+}
+constexpr std::uint64_t round3_wiring(std::uint64_t x) noexcept {
+  x = sigma(x, 29, 39);
+  return x ^ (x >> 31);
+}
+
+/// One round in T-table form: entry [j][b] is the round's wiring applied
+/// to S-box output byte b at byte position j.
+using RoundTable = std::array<std::array<std::uint64_t, 256>, 8>;
+
+consteval RoundTable make_round_table(const std::array<std::uint8_t, 256>& lut,
+                                      std::uint64_t (*wiring)(std::uint64_t)) {
+  RoundTable t{};
+  for (unsigned j = 0; j < 8; ++j) {
+    for (unsigned b = 0; b < 256; ++b) {
+      t[j][b] = wiring(static_cast<std::uint64_t>(lut[b]) << (8 * j));
+    }
+  }
+  return t;
+}
+
+alignas(64) inline constexpr RoundTable kMixRound1 =
+    make_round_table(kPresentByteLut, round1_wiring);
+alignas(64) inline constexpr RoundTable kMixRound2 =
+    make_round_table(kSpongentByteLut, round2_wiring);
+alignas(64) inline constexpr RoundTable kMixRound3 =
+    make_round_table(kPresentByteLut, round3_wiring);
+
+/// One whole round: S-box layer plus wiring as eight independent table
+/// loads XORed together. Equals wiring(sbox_layer<Lut>(x)) because the
+/// S-box bytes occupy disjoint bit ranges and the wiring is linear.
+constexpr std::uint64_t table_round(const RoundTable& t, std::uint64_t x) noexcept {
+  return ((t[0][x & 0xFF] ^ t[1][(x >> 8) & 0xFF]) ^
+          (t[2][(x >> 16) & 0xFF] ^ t[3][(x >> 24) & 0xFF])) ^
+         ((t[4][(x >> 32) & 0xFF] ^ t[5][(x >> 40) & 0xFF]) ^
+          (t[6][(x >> 48) & 0xFF] ^ t[7][x >> 56]));
+}
+
 /// Core keyed compression: up to 128 input bits (ψ-spread ⊕ tweak as the
 /// round keys, `lo`/`hi` as data) → 64 mixed bits. Three S/P/σ rounds — the
-/// depth Figure 2's winning R1 circuit has.
+/// depth Figure 2's winning R1 circuit has — each one table_round.
 constexpr std::uint64_t mix(std::uint64_t lo, std::uint64_t hi, std::uint32_t psi,
                             std::uint64_t tweak) noexcept {
   const std::uint64_t k =
       (static_cast<std::uint64_t>(psi) << 32 | psi) ^ tweak;
   std::uint64_t x = lo ^ util::rotl64(hi, 21) ^ k;
-  x = sbox_layer<kPresentByteLut>(x);
-  x = sigma(pbox_a(x), 19, 43);
+  x = table_round(kMixRound1, x);
   x ^= util::rotl64(hi, 47) ^ util::rotl64(k, 13);
-  x = sbox_layer<kSpongentByteLut>(x);
-  x = sigma(pbox_b(x), 11, 50);
+  x = table_round(kMixRound2, x);
   x ^= util::rotl64(k, 37);
-  x = sbox_layer<kPresentByteLut>(x);
-  x = sigma(x, 29, 39);
-  // Final XOR compression (C-S box row): fold the halves together.
-  return x ^ (x >> 31);
+  return table_round(kMixRound3, x);
 }
 
 /// Width-N batched mix: N independent (lo, hi) inputs under one (ψ, tweak)
 /// key — the shape every compacted remap-cache miss list has, since one
 /// batch services one R function. The per-stage loops over the lane array
 /// break the single mix's serial dependence: each stage issues N
-/// independent chains, so the out-of-order core overlaps their LUT loads
+/// independent chains, so the out-of-order core overlaps their table loads
 /// and the cost per mix moves from the latency of the 3-round chain to the
-/// throughput of the load ports. `UseLut16` selects the double-byte
-/// substitution tables (half the loads per layer, larger footprint); both
-/// renderings are bit-identical to scalar mix() lane by lane
-/// (tests/core/mix_batch_test.cc).
+/// throughput of the load ports. The default lane kernel runs the same
+/// round tables as scalar mix(). `UseLut16` instead selects the layered
+/// rendering over double-byte substitution tables (four loads per S-box
+/// layer, 128 KiB each), kept for the `mix_batch` study. Both are
+/// bit-identical to scalar mix() lane by lane (tests/core/mix_batch_test.cc).
 template <unsigned N, bool UseLut16 = true>
 inline void mix_batch(const std::uint64_t* lo, const std::uint64_t* hi,
                       std::uint32_t psi, std::uint64_t tweak,
                       std::uint64_t* out) noexcept {
   static_assert(N >= 1 && N <= 16, "lane count outside the profitable range");
-  const auto sub_present = [](std::uint64_t v) {
-    if constexpr (UseLut16) {
-      return sbox_layer16<kPresentLut16>(v);
-    } else {
-      return sbox_layer<kPresentByteLut>(v);
-    }
-  };
-  const auto sub_spongent = [](std::uint64_t v) {
-    if constexpr (UseLut16) {
-      return sbox_layer16<kSpongentLut16>(v);
-    } else {
-      return sbox_layer<kSpongentByteLut>(v);
-    }
-  };
   const std::uint64_t k =
       (static_cast<std::uint64_t>(psi) << 32 | psi) ^ tweak;
   const std::uint64_t k13 = util::rotl64(k, 13);
   const std::uint64_t k37 = util::rotl64(k, 37);
   std::uint64_t x[N];
   for (unsigned i = 0; i < N; ++i) x[i] = lo[i] ^ util::rotl64(hi[i], 21) ^ k;
-  for (unsigned i = 0; i < N; ++i) x[i] = sub_present(x[i]);
-  for (unsigned i = 0; i < N; ++i) x[i] = sigma(pbox_a(x[i]), 19, 43);
-  for (unsigned i = 0; i < N; ++i) x[i] ^= util::rotl64(hi[i], 47) ^ k13;
-  for (unsigned i = 0; i < N; ++i) x[i] = sub_spongent(x[i]);
-  for (unsigned i = 0; i < N; ++i) x[i] = sigma(pbox_b(x[i]), 11, 50);
-  for (unsigned i = 0; i < N; ++i) x[i] ^= k37;
-  for (unsigned i = 0; i < N; ++i) x[i] = sub_present(x[i]);
-  for (unsigned i = 0; i < N; ++i) x[i] = sigma(x[i], 29, 39);
-  for (unsigned i = 0; i < N; ++i) out[i] = x[i] ^ (x[i] >> 31);
+  if constexpr (UseLut16) {
+    for (unsigned i = 0; i < N; ++i) x[i] = sbox_layer16<kPresentLut16>(x[i]);
+    for (unsigned i = 0; i < N; ++i) x[i] = round1_wiring(x[i]);
+    for (unsigned i = 0; i < N; ++i) x[i] ^= util::rotl64(hi[i], 47) ^ k13;
+    for (unsigned i = 0; i < N; ++i) x[i] = sbox_layer16<kSpongentLut16>(x[i]);
+    for (unsigned i = 0; i < N; ++i) x[i] = round2_wiring(x[i]);
+    for (unsigned i = 0; i < N; ++i) x[i] ^= k37;
+    for (unsigned i = 0; i < N; ++i) x[i] = sbox_layer16<kPresentLut16>(x[i]);
+    for (unsigned i = 0; i < N; ++i) out[i] = round3_wiring(x[i]);
+  } else {
+    for (unsigned i = 0; i < N; ++i) x[i] = table_round(kMixRound1, x[i]);
+    for (unsigned i = 0; i < N; ++i) x[i] ^= util::rotl64(hi[i], 47) ^ k13;
+    for (unsigned i = 0; i < N; ++i) x[i] = table_round(kMixRound2, x[i]);
+    for (unsigned i = 0; i < N; ++i) x[i] ^= k37;
+    for (unsigned i = 0; i < N; ++i) out[i] = table_round(kMixRound3, x[i]);
+  }
 }
 
 #if STBPU_MIX_AVX2
@@ -307,7 +356,7 @@ __attribute__((target("avx2"))) inline void mix_batch_avx2(
 
 /// Production batched-mix entry point: the AVX2 nibble-shuffle kernel when
 /// the host executes it (and the lane count is vectorizable), else the
-/// portable byte-LUT lane kernel. Bit-identical either way; the remap
+/// portable T-table lane kernel. Bit-identical either way; the remap
 /// cache's compacted miss lists go through here.
 template <unsigned N>
 inline void mix_batch_dispatch(const std::uint64_t* lo, const std::uint64_t* hi,
@@ -434,7 +483,7 @@ class Remapper {
   /// batched mixes (index lanes, tag lanes), each padded up to a multiple
   /// of four lanes so the AVX2 kernel takes it; configurations with more
   /// than kRtLanes - 1 tables fall back to per-table mixes.
-  /// `UseAvx2 = false` pins the portable byte-LUT kernel (tests compare
+  /// `UseAvx2 = false` pins the portable T-table kernel (tests compare
   /// both renderings against the scalar functions).
   template <bool UseAvx2 = true>
   static void rt_all(std::uint32_t psi, std::uint64_t ip, const std::uint64_t* index_keys,

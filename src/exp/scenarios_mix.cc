@@ -5,13 +5,13 @@
 //   * latency-bound — one mix at a time, each stage waiting on the last
 //     (what the scalar demand path pays on every memo-cache miss);
 //   * throughput-bound — N independent mixes interleaved so the machine
-//     overlaps their LUT loads (what the remap cache's compacted miss
+//     overlaps their table loads (what the remap cache's compacted miss
 //     lists pay via detail::mix_batch<N>).
-// This scenario measures both regimes for both substitution-layer
-// renderings (256-entry byte LUT vs 64K-entry double-byte LUT) and
-// records, per point, whether the kernel's outputs were bit-identical to
-// scalar mix over the same inputs — the honesty check that backs the
-// equivalence contract.
+// This scenario measures both regimes for both renderings (the T-table
+// rounds of scalar mix(), labelled "byte-lut", vs the layered 64K-entry
+// double-byte S-box LUT) and records, per point, whether the kernel's
+// outputs were bit-identical to scalar mix over the same inputs — the
+// honesty check that backs the equivalence contract.
 #include <algorithm>
 #include <cstdint>
 #include <string>
@@ -103,7 +103,7 @@ std::uint64_t run_batch(const MixInputs& in, std::uint64_t iters) {
 template <unsigned N>
 std::uint64_t run_batch_simd(const MixInputs& in, std::uint64_t iters) {
   // The production dispatch path: AVX2 nibble-shuffle kernel where the
-  // host has it, byte-LUT lanes otherwise (the point reports which).
+  // host has it, T-table lanes otherwise (the point reports which).
   std::uint64_t acc = 0;
   std::uint64_t out[N];
   for (std::uint64_t it = 0; it + N <= iters; it += N) {

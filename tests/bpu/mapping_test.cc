@@ -10,7 +10,7 @@ namespace {
 const ExecContext kCtx{.pid = 1, .hart = 0, .kernel = false};
 const ExecContext kOther{.pid = 2, .hart = 0, .kernel = false};
 
-TEST(BaselineMapping, IgnoresProcessIdentity) {
+TEST(BaselineMappingLogic, IgnoresProcessIdentity) {
   const BaselineMappingLogic m;
   const std::uint64_t ip = 0x1234'5678'9ABCULL & kVirtualAddressMask;
   EXPECT_EQ(m.btb_mode1(ip, kCtx), m.btb_mode1(ip, kOther))
@@ -18,7 +18,7 @@ TEST(BaselineMapping, IgnoresProcessIdentity) {
   EXPECT_EQ(m.pht_index_1level(ip, kCtx), m.pht_index_1level(ip, kOther));
 }
 
-TEST(BaselineMapping, TruncatesAbove30Bits) {
+TEST(BaselineMappingLogic, TruncatesAbove30Bits) {
   const BaselineMappingLogic m;
   const std::uint64_t ip = 0x0000'2345'6780ULL;
   const std::uint64_t alias = ip + (1ULL << 30);
@@ -27,7 +27,7 @@ TEST(BaselineMapping, TruncatesAbove30Bits) {
   EXPECT_EQ(m.pht_index_1level(ip, kCtx), m.pht_index_1level(alias, kCtx));
 }
 
-TEST(BaselineMapping, BtbFieldWidths) {
+TEST(BaselineMappingLogic, BtbFieldWidths) {
   const BaselineMappingLogic m;
   for (std::uint64_t ip = 0; ip < 4096; ip += 17) {
     const BtbIndex idx = m.btb_mode1(ip * 0x9E3779B9ULL & kVirtualAddressMask, kCtx);
@@ -37,7 +37,7 @@ TEST(BaselineMapping, BtbFieldWidths) {
   }
 }
 
-TEST(BaselineMapping, SetComesFromLowBits) {
+TEST(BaselineMappingLogic, SetComesFromLowBits) {
   const BaselineMappingLogic m;
   // set = bits 5..13: two addresses differing only in bit 5 land in
   // adjacent sets.
@@ -45,7 +45,7 @@ TEST(BaselineMapping, SetComesFromLowBits) {
   EXPECT_EQ(m.btb_mode1(ip, kCtx).set + 1, m.btb_mode1(ip + 32, kCtx).set);
 }
 
-TEST(BaselineMapping, TagFoldCollisionsAreConstructible) {
+TEST(BaselineMappingLogic, TagFoldCollisionsAreConstructible) {
   const BaselineMappingLogic m;
   // fold_xor is linear: flipping the same bit pattern in two folded chunks
   // cancels. bits 14..21 and 22..29 fold onto each other.
@@ -56,7 +56,7 @@ TEST(BaselineMapping, TagFoldCollisionsAreConstructible) {
   EXPECT_EQ(m.btb_mode1(ip, kCtx).tag, m.btb_mode1(crafted, kCtx).tag);
 }
 
-TEST(BaselineMapping, Function5RebuildsNearbyTargets) {
+TEST(BaselineMappingLogic, Function5RebuildsNearbyTargets) {
   const BaselineMappingLogic m;
   const std::uint64_t branch = 0x0000'2345'6780ULL;
   const std::uint64_t target = 0x0000'2345'9000ULL;  // same upper 16 bits
@@ -65,7 +65,7 @@ TEST(BaselineMapping, Function5RebuildsNearbyTargets) {
   EXPECT_EQ(m.decode_target(branch, stored, kCtx), target);
 }
 
-TEST(BaselineMapping, Function5BreaksFarTargets) {
+TEST(BaselineMappingLogic, Function5BreaksFarTargets) {
   const BaselineMappingLogic m;
   // A target whose upper 16 bits differ from the branch's cannot be
   // reconstructed — inherent legacy truncation loss.
@@ -74,13 +74,13 @@ TEST(BaselineMapping, Function5BreaksFarTargets) {
   EXPECT_NE(m.decode_target(branch, m.encode_target(target, kCtx), kCtx), target);
 }
 
-TEST(BaselineMapping, Mode2TagDependsOnBhb) {
+TEST(BaselineMappingLogic, Mode2TagDependsOnBhb) {
   const BaselineMappingLogic m;
   EXPECT_NE(m.btb_mode2_tag(0x123456, kCtx), m.btb_mode2_tag(0x654321, kCtx));
   EXPECT_EQ(m.btb_mode2_tag(0x123456, kCtx), m.btb_mode2_tag(0x123456, kOther));
 }
 
-TEST(BaselineMapping, TwoLevelIndexMixesHistory) {
+TEST(BaselineMappingLogic, TwoLevelIndexMixesHistory) {
   const BaselineMappingLogic m;
   const std::uint64_t ip = 0x0000'2345'6780ULL;
   EXPECT_NE(m.pht_index_2level(ip, 0b1010, kCtx), m.pht_index_2level(ip, 0b0101, kCtx));
@@ -88,7 +88,7 @@ TEST(BaselineMapping, TwoLevelIndexMixesHistory) {
   EXPECT_EQ(m.pht_index_2level(ip, 0b1010, kCtx), m.pht_index_2level(ip, 0b1010, kCtx));
 }
 
-TEST(BaselineMapping, TageHooksAreDeterministic) {
+TEST(BaselineMappingLogic, TageHooksAreDeterministic) {
   const BaselineMappingLogic m;
   const std::uint64_t ip = 0x0000'2345'6780ULL;
   EXPECT_EQ(m.tage_index(ip, 0xABC, 3, 10, kCtx), m.tage_index(ip, 0xABC, 3, 10, kCtx));

@@ -1,5 +1,5 @@
-// Bit-identity properties of the batched mix kernels: every rendering of
-// the substitution layers (byte LUT, 16-bit double-byte LUT) and every
+// Bit-identity properties of the batched mix kernels: every rendering
+// (T-table rounds, layered 16-bit double-byte LUT, AVX2 shuffles) and every
 // lane count of detail::mix_batch must reproduce scalar detail::mix
 // exactly, over random and adversarial inputs and across ψ re-keys —
 // that identity is what lets the remap cache fill entries from batched
@@ -74,7 +74,7 @@ void expect_lanes_match_scalar(std::uint32_t psi, std::uint64_t tweak,
         << "lane " << i << " of N=" << N << " lut16=" << UseLut16;
   }
   // The production dispatch entry point (AVX2 nibble-shuffle kernel when
-  // the host supports it, byte-LUT lanes otherwise) must match too.
+  // the host supports it, T-table lanes otherwise) must match too.
   std::uint64_t dout[N];
   detail::mix_batch_dispatch<N>(lo, hi, psi, tweak, dout);
   for (unsigned i = 0; i < N; ++i) {

@@ -9,6 +9,7 @@
 #include <cstdint>
 
 #include "core/remap.h"
+#include "util/rng.h"
 
 namespace stbpu::core {
 namespace {
@@ -165,6 +166,38 @@ TEST(RemapKat, RemapperFunctionsMatchKnownAnswers) {
     for (std::size_t p = 0; p < kPsis.size(); ++p) {
       EXPECT_EQ(row.fn(kPsis[p]), row.expected[p]) << row.name << " psi " << p;
     }
+  }
+}
+
+// Every round-table entry is the layered round — S-box byte, then the
+// P-box delta swaps, then σ (and the final fold in round 3) — applied to
+// one byte position, spelled out here from the layer primitives.
+TEST(RemapKat, RoundTableEntriesAreLayeredRounds) {
+  using namespace detail;
+  for (unsigned j = 0; j < 8; ++j) {
+    for (unsigned b = 0; b < 256; ++b) {
+      const std::uint64_t present = std::uint64_t{kPresentByteLut[b]} << (8 * j);
+      const std::uint64_t spongent = std::uint64_t{kSpongentByteLut[b]} << (8 * j);
+      ASSERT_EQ(kMixRound1[j][b], sigma(pbox_a(present), 19, 43)) << j << " " << b;
+      ASSERT_EQ(kMixRound2[j][b], sigma(pbox_b(spongent), 11, 50)) << j << " " << b;
+      const std::uint64_t s3 = sigma(present, 29, 39);
+      ASSERT_EQ(kMixRound3[j][b], s3 ^ (s3 >> 31)) << j << " " << b;
+    }
+  }
+}
+
+// The XOR of the eight table entries is the whole layered round.
+TEST(RemapKat, TableRoundEqualsLayeredRound) {
+  using namespace detail;
+  util::Xoshiro256 rng(21);
+  for (int i = 0; i < 4096; ++i) {
+    const std::uint64_t x = rng();
+    ASSERT_EQ(table_round(kMixRound1, x),
+              sigma(pbox_a(sbox_layer<kPresentByteLut>(x)), 19, 43));
+    ASSERT_EQ(table_round(kMixRound2, x),
+              sigma(pbox_b(sbox_layer<kSpongentByteLut>(x)), 11, 50));
+    const std::uint64_t s3 = sigma(sbox_layer<kPresentByteLut>(x), 29, 39);
+    ASSERT_EQ(table_round(kMixRound3, x), s3 ^ (s3 >> 31));
   }
 }
 
