@@ -10,8 +10,7 @@
 //   * trace::SyntheticInstrGenerator — instruction-level workload streams
 //   * exp::for_each_engine + sim::run_ooo — the devirtualized tick core
 //   * OooResult::stalls — exact stall attribution (integer ticks, reported
-//     as cycles), the `--stall-stats` side channel of `stbpu_bench run
-//     ooo_engine`
+//     as cycles), the counters behind perfbench's `sim.stall_cpi.*`
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -55,7 +54,7 @@ int main(int argc, char** argv) {
                   s.redirect, s.fetch_bandwidth, s.rob, s.iq, s.lq, s.sq);
     });
   }
-  std::printf("(same breakdown per grid point: "
-              "stbpu_bench run ooo_engine --stall-stats)\n");
+  std::printf("(per-instruction averages over the benchmark's OoO cells: "
+              "perfbench's sim.stall_cpi.*)\n");
   return 0;
 }

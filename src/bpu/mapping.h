@@ -90,7 +90,7 @@ concept RtBatch = requires(const M m, std::uint64_t a, const std::uint64_t* keys
 };
 
 /// Optional capability: the mapping reports per-structure cache statistics
-/// (`stats()`), surfaced through models::engine_remap_cache_stats.
+/// (`stats()`).
 template <class M>
 concept StatsReporting = requires(const M m) { m.stats(); };
 

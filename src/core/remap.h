@@ -69,25 +69,6 @@ consteval std::array<std::uint8_t, 256> expand_sbox(
 inline constexpr auto kPresentByteLut = expand_sbox(kPresentSbox);
 inline constexpr auto kSpongentByteLut = expand_sbox(kSpongentSbox);
 
-/// Expand a byte LUT into a 16-bit double-byte LUT (four parallel S-boxes),
-/// halving the table reads of a 64-bit substitution layer: eight byte loads
-/// become four 16-bit loads. The 128 KiB table trades L1 residency for load
-/// count — a loss on a single latency-bound mix, a win when several
-/// independent mixes keep the load ports busy (mix_batch below); the
-/// `mix_batch` scenario measures both regimes.
-consteval std::array<std::uint16_t, 65536> expand_sbox16(
-    const std::array<std::uint8_t, 256>& b) {
-  std::array<std::uint16_t, 65536> t{};
-  for (unsigned i = 0; i < 65536; ++i) {
-    t[i] = static_cast<std::uint16_t>(b[i & 0xFF] |
-                                      (static_cast<unsigned>(b[i >> 8]) << 8));
-  }
-  return t;
-}
-
-inline constexpr auto kPresentLut16 = expand_sbox16(kPresentByteLut);
-inline constexpr auto kSpongentLut16 = expand_sbox16(kSpongentByteLut);
-
 /// The layered 64-bit substitution layer, eight byte-LUT reads. No runtime
 /// path calls it any more; the tests check the round tables against it.
 template <const std::array<std::uint8_t, 256>& Lut>
@@ -97,17 +78,6 @@ constexpr std::uint64_t sbox_layer(std::uint64_t x) noexcept {
     r |= static_cast<std::uint64_t>(Lut[(x >> (8 * i)) & 0xFF]) << (8 * i);
   }
   return r;
-}
-
-/// 64-bit substitution layer through a 16-bit LUT: four loads instead of
-/// eight. Bit-identical to sbox_layer over the matching byte LUT (the wide
-/// table is that byte LUT applied to both halves of each 16-bit window).
-template <const std::array<std::uint16_t, 65536>& Lut>
-constexpr std::uint64_t sbox_layer16(std::uint64_t x) noexcept {
-  return static_cast<std::uint64_t>(Lut[x & 0xFFFF]) |
-         (static_cast<std::uint64_t>(Lut[(x >> 16) & 0xFFFF]) << 16) |
-         (static_cast<std::uint64_t>(Lut[(x >> 32) & 0xFFFF]) << 32) |
-         (static_cast<std::uint64_t>(Lut[x >> 48]) << 48);
 }
 
 /// Delta swap: exchanges the bit groups selected by `m` with the groups `s`
@@ -208,12 +178,10 @@ constexpr std::uint64_t mix(std::uint64_t lo, std::uint64_t hi, std::uint32_t ps
 /// break the single mix's serial dependence: each stage issues N
 /// independent chains, so the out-of-order core overlaps their table loads
 /// and the cost per mix moves from the latency of the 3-round chain to the
-/// throughput of the load ports. The default lane kernel runs the same
-/// round tables as scalar mix(). `UseLut16` instead selects the layered
-/// rendering over double-byte substitution tables (four loads per S-box
-/// layer, 128 KiB each), kept for the `mix_batch` study. Both are
-/// bit-identical to scalar mix() lane by lane (tests/core/mix_batch_test.cc).
-template <unsigned N, bool UseLut16 = true>
+/// throughput of the load ports. Each lane runs the same round tables as
+/// scalar mix(), so the kernel is bit-identical to it lane by lane
+/// (tests/core/mix_batch_test.cc).
+template <unsigned N>
 inline void mix_batch(const std::uint64_t* lo, const std::uint64_t* hi,
                       std::uint32_t psi, std::uint64_t tweak,
                       std::uint64_t* out) noexcept {
@@ -224,22 +192,11 @@ inline void mix_batch(const std::uint64_t* lo, const std::uint64_t* hi,
   const std::uint64_t k37 = util::rotl64(k, 37);
   std::uint64_t x[N];
   for (unsigned i = 0; i < N; ++i) x[i] = lo[i] ^ util::rotl64(hi[i], 21) ^ k;
-  if constexpr (UseLut16) {
-    for (unsigned i = 0; i < N; ++i) x[i] = sbox_layer16<kPresentLut16>(x[i]);
-    for (unsigned i = 0; i < N; ++i) x[i] = round1_wiring(x[i]);
-    for (unsigned i = 0; i < N; ++i) x[i] ^= util::rotl64(hi[i], 47) ^ k13;
-    for (unsigned i = 0; i < N; ++i) x[i] = sbox_layer16<kSpongentLut16>(x[i]);
-    for (unsigned i = 0; i < N; ++i) x[i] = round2_wiring(x[i]);
-    for (unsigned i = 0; i < N; ++i) x[i] ^= k37;
-    for (unsigned i = 0; i < N; ++i) x[i] = sbox_layer16<kPresentLut16>(x[i]);
-    for (unsigned i = 0; i < N; ++i) out[i] = round3_wiring(x[i]);
-  } else {
-    for (unsigned i = 0; i < N; ++i) x[i] = table_round(kMixRound1, x[i]);
-    for (unsigned i = 0; i < N; ++i) x[i] ^= util::rotl64(hi[i], 47) ^ k13;
-    for (unsigned i = 0; i < N; ++i) x[i] = table_round(kMixRound2, x[i]);
-    for (unsigned i = 0; i < N; ++i) x[i] ^= k37;
-    for (unsigned i = 0; i < N; ++i) out[i] = table_round(kMixRound3, x[i]);
-  }
+  for (unsigned i = 0; i < N; ++i) x[i] = table_round(kMixRound1, x[i]);
+  for (unsigned i = 0; i < N; ++i) x[i] ^= util::rotl64(hi[i], 47) ^ k13;
+  for (unsigned i = 0; i < N; ++i) x[i] = table_round(kMixRound2, x[i]);
+  for (unsigned i = 0; i < N; ++i) x[i] ^= k37;
+  for (unsigned i = 0; i < N; ++i) out[i] = table_round(kMixRound3, x[i]);
 }
 
 #if STBPU_MIX_AVX2
@@ -370,7 +327,7 @@ inline void mix_batch_dispatch(const std::uint64_t* lo, const std::uint64_t* hi,
     }
   }
 #endif
-  mix_batch<N, /*UseLut16=*/false>(lo, hi, psi, tweak, out);
+  mix_batch<N>(lo, hi, psi, tweak, out);
 }
 
 }  // namespace detail
@@ -562,7 +519,7 @@ class Remapper {
     if constexpr (UseAvx2) {
       detail::mix_batch_dispatch<N>(lo, hi, psi, tweak, out);
     } else {
-      detail::mix_batch<N, /*UseLut16=*/false>(lo, hi, psi, tweak, out);
+      detail::mix_batch<N>(lo, hi, psi, tweak, out);
     }
   }
 };

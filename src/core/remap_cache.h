@@ -62,17 +62,6 @@ struct RemapCacheStats {
   /// Read by perfbench/layers.cc; remove with the next benchmark change.
   /// Always 0: every entry is filled by a demand miss.
   std::uint64_t batch_fills = 0;
-
-  [[nodiscard]] double hit_rate() const {
-    const std::uint64_t total = hits + misses;
-    return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
-  }
-
-  [[nodiscard]] static const char* fn_name(unsigned f) {
-    constexpr const char* kNames[kFnCount] = {"r1",       "r2",     "r3", "r4",
-                                              "rt_index", "rt_tag", "rp", "r34"};
-    return f < kFnCount ? kNames[f] : "?";
-  }
 };
 
 /// Keyed mapping with memoized R functions, over an arm policy providing

@@ -1,8 +1,6 @@
 #include "exp/compare.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <limits>
 #include <map>
 #include <utility>
 
@@ -14,7 +12,8 @@ namespace {
 
 /// A bare (optionally signed) digit run — the literal form of the kU64/kInt
 /// writers. Doubles always carry '.', 'e' or 'E' (scenario.cc's
-/// format_double guarantees it for integral values).
+/// format_double guarantees it for integral values), so two integer
+/// literals are compared as text, never through a lossy double.
 bool is_integer_literal(const std::string& t) {
   if (t.empty()) return false;
   std::size_t i = t[0] == '-' ? 1 : 0;
@@ -48,32 +47,14 @@ struct Comparer {
     const std::string new_text = literal_text(newv);
     if (old_text == new_text) return;
 
-    if (oldv.is_number() && newv.is_number()) {
-      const bool old_int = is_integer_literal(oldv.text());
-      const bool new_int = is_integer_literal(newv.text());
-      if (!old_int && !new_int) {
-        // Measurement field on both sides: advisory delta only.
-        const double o = oldv.as_double();
-        const double n = newv.as_double();
-        // A zero baseline has no meaningful relative delta; signal it as
-        // infinity so reporters print n/a instead of a misleading +0.00%.
-        report.deltas.push_back(
-            {.row = row,
-             .key = key,
-             .old_value = old_text,
-             .new_value = new_text,
-             .delta_frac = o != 0.0 ? n / o - 1.0
-                                    : std::numeric_limits<double>::infinity()});
-        return;
-      }
-      // Integer literal on either side: the field is (or was) a counter. A
-      // pure formatting drift that preserves the value ("1" vs "1.0") is
-      // fine; a changed value — including one smuggled across an
-      // integer↔float type change — falls through to the fatal class.
-      if (old_int != new_int && oldv.as_double() == newv.as_double()) return;
+    // A pure formatting drift that preserves a number's value ("1" vs
+    // "1.0") is not a change. Two integer literals with different text are
+    // different counters, even where doubles would round them together.
+    if (oldv.is_number() && newv.is_number() &&
+        !(is_integer_literal(oldv.text()) && is_integer_literal(newv.text())) &&
+        oldv.as_double() == newv.as_double()) {
+      return;
     }
-    // Correctness field (string, bool, integer counter — or a type change):
-    // any difference is a regression.
     report.regressions.push_back(
         {.row = row, .key = key, .old_value = old_text, .new_value = new_text});
   }

@@ -1,19 +1,18 @@
-// BENCH_*.json comparison — the CI perf-regression gate's core logic
-// (`stbpu_bench compare OLD.json NEW.json`). The gate's contract follows
-// the repo's honest-measurement discipline: correctness fields must never
-// drift silently, throughput may (machines differ), so
-//   * string fields (identical_stats, sections, modes) and integer fields
-//     (stat counters: measured branches, cache hits/misses, thresholds,
-//     rerandomization counts) are CORRECTNESS — any difference on a row +
-//     key present in both files is a fatal regression;
-//   * floating-point fields (branches/sec, speedups, rates, IPC) are
-//     THROUGHPUT/measurement — deltas are reported, never fatal;
+// BENCH_*.json comparison — the CI regression gate's core logic
+// (`stbpu_bench compare OLD.json NEW.json`). Every field a scenario emits
+// is a deterministic simulation output (wall-clock measurement lives in
+// perfbench/), so
+//   * any changed value on a row + key present in both files is a fatal
+//     regression: strings (identical_stats, sections), integer counters
+//     (measured branches, thresholds, rerandomization counts) and
+//     floating-point results (rates, reductions, normalized IPC) alike;
+//   * a pure formatting drift that keeps a number's value ("1" vs "1.0")
+//     is not a change; two integer literals always compare as text, so
+//     counters beyond 2^53 stay exact;
 //   * rows or keys present in only one file are advisory notes (scenario
 //     grids legitimately evolve between PRs), as is a scale mismatch note
 //     when the two files were produced at different --scale presets (then
 //     nothing is comparable and the files are only inventoried).
-// Field classes are recovered from the JSON literals themselves (the
-// writer preserves number text: integers render without '.'/exponent).
 #pragma once
 
 #include <string>
@@ -32,13 +31,11 @@ struct CompareFinding {
   std::string key;
   std::string old_value;  ///< raw JSON literal text
   std::string new_value;
-  double delta_frac = 0.0;  ///< new/old - 1 (numeric advisory findings)
 };
 
 struct CompareReport {
   std::string bench;                        ///< scenario name (from NEW)
-  std::vector<CompareFinding> regressions;  ///< fatal correctness mismatches
-  std::vector<CompareFinding> deltas;       ///< advisory numeric deltas
+  std::vector<CompareFinding> regressions;  ///< fatal value mismatches
   std::vector<std::string> notes;           ///< grid drift, scale mismatch, ...
   std::size_t compared_fields = 0;          ///< fields checked on matched rows
 

@@ -1,10 +1,10 @@
 #include "exp/driver.h"
 
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exp/compare.h"
@@ -29,9 +29,8 @@ void print_usage(std::FILE* to) {
                "  run <scenario> [options]   execute a scenario\n"
                "  merge <shard.json>...      union shard files into BENCH_<name>.json\n"
                "  compare OLD.json NEW.json  diff two same-scenario BENCH files: exits\n"
-               "                             nonzero when a correctness field (string or\n"
-               "                             integer stat counter) regressed; throughput\n"
-               "                             (floating-point) deltas are reported only\n"
+               "                             nonzero when any field's value changed (every\n"
+               "                             field is a deterministic simulation output)\n"
                "  worker                     serve shard assignments over TCP (the\n"
                "                             fabric's execution side)\n"
                "  dispatch <scenario>        partition the grid and execute it across\n"
@@ -58,12 +57,6 @@ void print_usage(std::FILE* to) {
                "  --gamma-m=N --gamma-e=N --gamma-tagged=N\n"
                "                             explicit Γ_M / Γ_E / tagged-Γ monitor\n"
                "                             thresholds (0 = derive from difficulty r)\n"
-               "  --cache-stats              attach remap memo-cache per-function\n"
-               "                             hit/miss/batch-fill counters to measurement\n"
-               "                             points (JSON side-channel fields)\n"
-               "  --stall-stats              attach the OoO core's per-thread stall\n"
-               "                             attribution (fetch-bandwidth / redirect /\n"
-               "                             ROB/IQ/LQ/SQ cycles) to cycle-level points\n"
                "  --trace-branches=N --trace-warmup=N\n"
                "  --ooo-instructions=N --ooo-warmup=N\n"
                "                             individual budget overrides\n"
@@ -72,7 +65,7 @@ void print_usage(std::FILE* to) {
                "  --json=PATH                output path (default BENCH_<name>.json)\n"
                "\n"
                "compare options:\n"
-               "  --ignore=KEY[,KEY]         exclude fields from the correctness check\n"
+               "  --ignore=KEY[,KEY]         exclude fields from the check\n"
                "                             (for a PR that intentionally changes a\n"
                "                             counter's meaning)\n"
                "\n"
@@ -104,21 +97,19 @@ int usage_error(const std::string& message) {
   return kExitUsage;
 }
 
-bool parse_u64_flag(const char* arg, const char* prefix, std::uint64_t& out,
-                    std::string& err) {
-  const std::size_t len = std::strlen(prefix);
-  const char* text = arg + len;
-  // Digits only: strtoull would silently wrap "-1" to 2^64-1.
-  if (*text < '0' || *text > '9') {
-    err = std::string("bad value in '") + arg + "'";
+/// Integer flag value of width T, through the same parse_uint as spec
+/// JSON: a sign, fraction or value beyond T's range is an error, never a
+/// wrapped, truncated or saturated value.
+template <class T>
+bool parse_uint_flag(const std::string& arg, const char* prefix, T& out, std::string& err) {
+  constexpr std::uint64_t kMax = std::numeric_limits<T>::max();
+  std::uint64_t u = 0;
+  if (!parse_uint(std::string_view(arg).substr(std::strlen(prefix)), kMax, u)) {
+    err = "bad value in '" + arg + "' (want a non-negative integer no larger than " +
+          std::to_string(kMax) + ")";
     return false;
   }
-  char* end = nullptr;
-  out = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') {
-    err = std::string("bad value in '") + arg + "'";
-    return false;
-  }
+  out = static_cast<T>(u);
   return true;
 }
 
@@ -174,7 +165,6 @@ bool parse_run_flags(const std::vector<std::string>& args, RunOptions& out,
     }
   }
   for (const std::string& arg : args) {
-    std::uint64_t u = 0;
     if (starts_with(arg, "--spec=")) {
       continue;  // handled above
     } else if (starts_with(arg, "--scale=")) {
@@ -186,8 +176,7 @@ bool parse_run_flags(const std::vector<std::string>& args, RunOptions& out,
       }
       out.spec.scale = *preset;
     } else if (starts_with(arg, "--jobs=")) {
-      if (!parse_u64_flag(arg.c_str(), "--jobs=", u, err)) return false;
-      out.spec.jobs = static_cast<unsigned>(u);
+      if (!parse_uint_flag(arg, "--jobs=", out.spec.jobs, err)) return false;
     } else if (starts_with(arg, "--shard=")) {
       if (!parse_shard(arg.substr(8), out.spec.shard_index, out.spec.shard_count, err)) {
         return false;
@@ -199,7 +188,7 @@ bool parse_run_flags(const std::vector<std::string>& args, RunOptions& out,
     } else if (starts_with(arg, "--trace=")) {
       out.spec.trace_file = arg.substr(8);
     } else if (starts_with(arg, "--seed=")) {
-      if (!parse_u64_flag(arg.c_str(), "--seed=", out.spec.seed, err)) return false;
+      if (!parse_uint_flag(arg, "--seed=", out.spec.seed, err)) return false;
     } else if (starts_with(arg, "--arms=")) {
       out.spec.arms.clear();
       std::string list = arg.substr(7);
@@ -222,41 +211,35 @@ bool parse_run_flags(const std::vector<std::string>& args, RunOptions& out,
         return false;
       }
     } else if (starts_with(arg, "--gamma-m=")) {
-      if (!parse_u64_flag(arg.c_str(), "--gamma-m=",
-                          out.spec.monitor.misprediction_threshold, err)) {
+      if (!parse_uint_flag(arg, "--gamma-m=", out.spec.monitor.misprediction_threshold,
+                           err)) {
         return false;
       }
     } else if (starts_with(arg, "--gamma-e=")) {
-      if (!parse_u64_flag(arg.c_str(), "--gamma-e=",
-                          out.spec.monitor.eviction_threshold, err)) {
+      if (!parse_uint_flag(arg, "--gamma-e=", out.spec.monitor.eviction_threshold, err)) {
         return false;
       }
     } else if (starts_with(arg, "--gamma-tagged=")) {
-      if (!parse_u64_flag(arg.c_str(), "--gamma-tagged=",
-                          out.spec.monitor.tagged_misprediction_threshold, err)) {
+      if (!parse_uint_flag(arg, "--gamma-tagged=",
+                           out.spec.monitor.tagged_misprediction_threshold, err)) {
         return false;
       }
-    } else if (arg == "--cache-stats") {
-      out.spec.cache_stats = true;
-    } else if (arg == "--stall-stats") {
-      out.spec.stall_stats = true;
     } else if (starts_with(arg, "--trace-branches=")) {
-      if (!parse_u64_flag(arg.c_str(), "--trace-branches=", out.spec.scale.trace_branches,
-                          err)) {
+      if (!parse_uint_flag(arg, "--trace-branches=", out.spec.scale.trace_branches,
+                           err)) {
         return false;
       }
     } else if (starts_with(arg, "--trace-warmup=")) {
-      if (!parse_u64_flag(arg.c_str(), "--trace-warmup=", out.spec.scale.trace_warmup,
-                          err)) {
+      if (!parse_uint_flag(arg, "--trace-warmup=", out.spec.scale.trace_warmup, err)) {
         return false;
       }
     } else if (starts_with(arg, "--ooo-instructions=")) {
-      if (!parse_u64_flag(arg.c_str(),
-                          "--ooo-instructions=", out.spec.scale.ooo_instructions, err)) {
+      if (!parse_uint_flag(arg, "--ooo-instructions=", out.spec.scale.ooo_instructions,
+                           err)) {
         return false;
       }
     } else if (starts_with(arg, "--ooo-warmup=")) {
-      if (!parse_u64_flag(arg.c_str(), "--ooo-warmup=", out.spec.scale.ooo_warmup, err)) {
+      if (!parse_uint_flag(arg, "--ooo-warmup=", out.spec.scale.ooo_warmup, err)) {
         return false;
       }
     } else {
@@ -411,17 +394,13 @@ int cmd_worker(const std::vector<std::string>& args) {
   bool have_listen = false;
   std::string err;
   for (const std::string& arg : args) {
-    std::uint64_t u = 0;
     if (arg.rfind("--listen=", 0) == 0) {
-      if (!parse_u64_flag(arg.c_str(), "--listen=", u, err)) return usage_error(err);
-      if (u > 65535) return usage_error("port out of range in '" + arg + "'");
-      opt.port = static_cast<std::uint16_t>(u);
+      if (!parse_uint_flag(arg, "--listen=", opt.port, err)) return usage_error(err);
       have_listen = true;
     } else if (arg.rfind("--jobs=", 0) == 0) {
-      if (!parse_u64_flag(arg.c_str(), "--jobs=", u, err)) return usage_error(err);
-      opt.jobs = static_cast<unsigned>(u);
+      if (!parse_uint_flag(arg, "--jobs=", opt.jobs, err)) return usage_error(err);
     } else if (arg.rfind("--max-requests=", 0) == 0) {
-      if (!parse_u64_flag(arg.c_str(), "--max-requests=", opt.max_requests, err)) {
+      if (!parse_uint_flag(arg, "--max-requests=", opt.max_requests, err)) {
         return usage_error(err);
       }
     } else if (arg.rfind("--port-file=", 0) == 0) {
@@ -457,7 +436,6 @@ int cmd_dispatch(const std::string& name, const std::vector<std::string>& args) 
   std::vector<std::string> run_args;
   std::string err;
   for (const std::string& arg : args) {
-    std::uint64_t u = 0;
     if (arg.rfind("--workers=", 0) == 0) {
       std::string list = arg.substr(10);
       std::size_t at = 0;
@@ -469,23 +447,26 @@ int cmd_dispatch(const std::string& name, const std::vector<std::string>& args) 
         at = comma + 1;
       }
     } else if (arg.rfind("--shards=", 0) == 0) {
-      if (!parse_u64_flag(arg.c_str(), "--shards=", u, err)) return usage_error(err);
-      if (u == 0) return usage_error("--shards must be at least 1");
-      fabric.shard_count = static_cast<std::uint32_t>(u);
-    } else if (arg.rfind("--deadline-ms=", 0) == 0) {
-      if (!parse_u64_flag(arg.c_str(), "--deadline-ms=", u, err)) return usage_error(err);
-      fabric.shard_deadline_ms = static_cast<int>(u);
-    } else if (arg.rfind("--connect-timeout-ms=", 0) == 0) {
-      if (!parse_u64_flag(arg.c_str(), "--connect-timeout-ms=", u, err)) {
+      if (!parse_uint_flag(arg, "--shards=", fabric.shard_count, err)) {
         return usage_error(err);
       }
-      fabric.connect_timeout_ms = static_cast<int>(u);
+      if (fabric.shard_count == 0) return usage_error("--shards must be at least 1");
+    } else if (arg.rfind("--deadline-ms=", 0) == 0) {
+      if (!parse_uint_flag(arg, "--deadline-ms=", fabric.shard_deadline_ms, err)) {
+        return usage_error(err);
+      }
+    } else if (arg.rfind("--connect-timeout-ms=", 0) == 0) {
+      if (!parse_uint_flag(arg, "--connect-timeout-ms=", fabric.connect_timeout_ms, err)) {
+        return usage_error(err);
+      }
     } else if (arg.rfind("--retries=", 0) == 0) {
-      if (!parse_u64_flag(arg.c_str(), "--retries=", u, err)) return usage_error(err);
-      fabric.retry_limit = static_cast<int>(u);
+      if (!parse_uint_flag(arg, "--retries=", fabric.retry_limit, err)) {
+        return usage_error(err);
+      }
     } else if (arg.rfind("--backoff-ms=", 0) == 0) {
-      if (!parse_u64_flag(arg.c_str(), "--backoff-ms=", u, err)) return usage_error(err);
-      fabric.backoff_base_ms = static_cast<int>(u);
+      if (!parse_uint_flag(arg, "--backoff-ms=", fabric.backoff_base_ms, err)) {
+        return usage_error(err);
+      }
     } else if (arg == "--no-local-fallback") {
       fabric.local_fallback = false;
     } else {
@@ -580,31 +561,15 @@ int cmd_compare(const std::vector<std::string>& args) {
   for (const std::string& note : report.notes) {
     std::printf("note: %s\n", note.c_str());
   }
-  for (const CompareFinding& d : report.deltas) {
-    if (std::isfinite(d.delta_frac)) {
-      std::printf("%-32s | %s: %s -> %s (%+.2f%%)\n",
-                  d.row.empty() ? "(meta)" : d.row.c_str(), d.key.c_str(),
-                  d.old_value.c_str(), d.new_value.c_str(), d.delta_frac * 100.0);
-    } else {
-      std::printf("%-32s | %s: %s -> %s (delta n/a: zero baseline)\n",
-                  d.row.empty() ? "(meta)" : d.row.c_str(), d.key.c_str(),
-                  d.old_value.c_str(), d.new_value.c_str());
-    }
-  }
   for (const CompareFinding& r : report.regressions) {
     std::printf("CORRECTNESS REGRESSION %-9s | %s: %s != %s\n",
                 r.row.empty() ? "(meta)" : r.row.c_str(), r.key.c_str(),
                 r.old_value.c_str(), r.new_value.c_str());
   }
-  std::printf(
-      "%zu fields compared: %zu correctness regression(s), %zu throughput delta(s), "
-      "%zu note(s)\n",
-      report.compared_fields, report.regressions.size(), report.deltas.size(),
-      report.notes.size());
+  std::printf("%zu fields compared: %zu correctness regression(s), %zu note(s)\n",
+              report.compared_fields, report.regressions.size(), report.notes.size());
   if (!report.ok()) {
-    std::fprintf(stderr,
-                 "stbpu_bench: correctness fields regressed (throughput deltas alone "
-                 "never fail the gate)\n");
+    std::fprintf(stderr, "stbpu_bench: field values changed\n");
     return 1;
   }
   return 0;

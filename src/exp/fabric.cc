@@ -312,11 +312,13 @@ bool validate_response(const ShardState& shard, const std::string& payload,
   indices.reserve(pts->items().size());
   for (const JsonValue& pv : pts->items()) {
     const JsonValue* index_v = pv.find("index");
-    if (index_v == nullptr || !index_v->is_number()) {
-      err = "response point entry has no index";
+    std::uint64_t index = 0;
+    if (index_v == nullptr ||
+        !index_v->as_uint(std::numeric_limits<std::size_t>::max(), index)) {
+      err = "response point entry has no valid index";
       return false;
     }
-    indices.push_back(static_cast<std::size_t>(index_v->as_u64()));
+    indices.push_back(static_cast<std::size_t>(index));
   }
   std::sort(indices.begin(), indices.end());
   if (indices != shard.owned) {

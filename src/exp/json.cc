@@ -27,10 +27,23 @@ std::string json_quote(const std::string& s) {
   return out;
 }
 
+bool parse_uint(std::string_view text, std::uint64_t max, std::uint64_t& out) {
+  if (text.empty()) return false;
+  std::uint64_t v = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') return false;
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (digit > max || v > (max - digit) / 10) return false;
+    v = v * 10 + digit;
+  }
+  out = v;
+  return true;
+}
+
 double JsonValue::as_double() const { return std::strtod(text_.c_str(), nullptr); }
 
-std::uint64_t JsonValue::as_u64() const {
-  return std::strtoull(text_.c_str(), nullptr, 10);
+bool JsonValue::as_uint(std::uint64_t max, std::uint64_t& out) const {
+  return is_number() && parse_uint(text_, max, out);
 }
 
 long JsonValue::as_long() const { return std::strtol(text_.c_str(), nullptr, 10); }

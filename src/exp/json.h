@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -19,6 +20,13 @@ namespace stbpu::exp {
 
 /// JSON string escaping (quotes, backslashes, control chars).
 [[nodiscard]] std::string json_quote(const std::string& s);
+
+/// The one integer parse behind spec JSON, shard files and CLI flags: a
+/// plain decimal digit run (no sign, fraction, exponent or whitespace)
+/// whose value is at most `max`. False on anything else, so a value is
+/// never wrapped, truncated or saturated into a different one.
+[[nodiscard]] bool parse_uint(std::string_view text, std::uint64_t max,
+                              std::uint64_t& out);
 
 class JsonValue {
  public:
@@ -37,7 +45,9 @@ class JsonValue {
   /// String payload, or the raw literal text for numbers.
   [[nodiscard]] const std::string& text() const noexcept { return text_; }
   [[nodiscard]] double as_double() const;
-  [[nodiscard]] std::uint64_t as_u64() const;
+  /// Numeric literal through parse_uint; false for non-numbers and for
+  /// anything parse_uint rejects.
+  [[nodiscard]] bool as_uint(std::uint64_t max, std::uint64_t& out) const;
   [[nodiscard]] long as_long() const;
 
   /// Byte offset of this value's first character in the parsed text (0 for

@@ -1,12 +1,12 @@
 #include "exp/runner.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <mutex>
 #include <thread>
-
-#include "exp/timing.h"
 
 namespace stbpu::exp {
 
@@ -72,10 +72,6 @@ bool run_experiment(const Scenario& scenario, const ExperimentSpec& spec,
   }
   out.points.resize(out.labels.size());
   out.ran = spec.owned_points(out.labels.size());
-  std::vector<std::size_t> timed;
-  for (const std::size_t i : out.ran) {
-    if (scenario.timing_sensitive(spec, i)) timed.push_back(i);
-  }
 
   // A run_point exception (bad trace file, I/O failure) must fail the run
   // with a message, not std::terminate a pool worker; the first error wins.
@@ -96,17 +92,12 @@ bool run_experiment(const Scenario& scenario, const ExperimentSpec& spec,
   std::vector<std::function<void()>> jobs;
   jobs.reserve(out.ran.size());
   for (const std::size_t index : out.ran) {
-    if (scenario.timing_sensitive(spec, index)) continue;
     jobs.emplace_back([&run_one, index] { run_one(index); });
   }
-  Stopwatch sw;
+  const auto start = std::chrono::steady_clock::now();
   run_parallel(jobs, spec.jobs);
-  // Wall-clock-measured points run alone, after the pool drains, so their
-  // Stopwatch windows never overlap simulation jobs.
-  for (const std::size_t index : timed) {
-    if (first_error.empty()) run_one(index);
-  }
-  out.seconds = sw.seconds();
+  out.seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   if (!first_error.empty()) {
     err = first_error;
     return false;
@@ -196,11 +187,12 @@ bool parse_shard_field(const JsonValue& v, Field& out, std::string& err) {
     }
     out.value = Value(val.as_double());
   } else if (tag == "u") {
-    if (!val.is_number() || val.text().find_first_of("-+.eE") != std::string::npos) {
+    std::uint64_t u = 0;
+    if (!val.as_uint(std::numeric_limits<std::uint64_t>::max(), u)) {
       err = "shard field '" + out.key + "': expected non-negative integer value";
       return false;
     }
-    out.value = Value(val.as_u64());
+    out.value = Value(u);
   } else if (tag == "i") {
     if (!val.is_number()) {
       err = "shard field '" + out.key + "': expected integer value";
@@ -329,12 +321,13 @@ bool merge_shards(const std::vector<std::string>& shard_texts,
       const JsonValue* index_v = pv.find("index");
       const JsonValue* label_v = pv.find("label");
       const JsonValue* fields_v = pv.find("fields");
+      std::uint64_t index = 0;
       if (index_v == nullptr || label_v == nullptr || fields_v == nullptr ||
-          !fields_v->is_array()) {
+          !fields_v->is_array() ||
+          !index_v->as_uint(std::numeric_limits<std::uint64_t>::max(), index)) {
         err = where + ": malformed point entry" + at_offset(pv);
         return false;
       }
-      const std::size_t index = static_cast<std::size_t>(index_v->as_u64());
       if (index >= labels.size()) {
         err = where + ": point index " + std::to_string(index) + " out of range" +
               at_offset(*index_v);

@@ -14,8 +14,8 @@ std::string format_double(double d, const char* fmt) {
   std::string out = buf;
   // Keep double-typed fields recognizably floating-point in the JSON text
   // (integral values would otherwise render as bare integers): the compare
-  // gate classifies correctness fields (integer literals) vs measurement
-  // fields (floating literals) from the literal form alone.
+  // gate compares two integer literals as exact text and anything else by
+  // value, telling the classes apart from the literal form alone.
   if (out.find_first_of(".eE") == std::string::npos &&
       out.find_first_not_of("-0123456789") == std::string::npos) {
     out += ".0";

@@ -125,19 +125,6 @@ class Scenario {
   [[nodiscard]] virtual PointResult run_point(const ExperimentSpec& spec,
                                               std::size_t index) const = 0;
 
-  /// True for points whose fields are wall-clock measurements: the runner
-  /// executes them sequentially on the calling thread *after* the pool
-  /// drains, so Stopwatch-timed sections never share cores with
-  /// simulation jobs (the old standalone benches measured throughput
-  /// outside their pools; sharded/parallel runs must not distort the
-  /// perf trajectory).
-  [[nodiscard]] virtual bool timing_sensitive(const ExperimentSpec& spec,
-                                              std::size_t index) const {
-    (void)spec;
-    (void)index;
-    return false;
-  }
-
   /// Build the final rows from the complete point set (indexed by grid
   /// position). Only called with every point present.
   [[nodiscard]] virtual ScenarioOutput aggregate(
@@ -152,7 +139,7 @@ void register_scenario(const Scenario* scenario);
 [[nodiscard]] const std::vector<const Scenario*>& all_scenarios();
 
 /// Register the built-in scenario set (the paper's figures/tables plus the
-/// engine-typed OoO fan-out study). Idempotent.
+/// extension studies). Idempotent.
 void register_builtin_scenarios();
 
 }  // namespace stbpu::exp

@@ -11,7 +11,6 @@ void register_builtin_scenarios() {
     scenarios::register_trace();
     scenarios::register_ooo();
     scenarios::register_attacks();
-    scenarios::register_mix();
     scenarios::register_tenant();
     return true;
   }();

@@ -1,17 +1,10 @@
-// Analytic / generator scenarios: the §VI-A5 complexity table, the
-// Figure 2 remapping-function search, and the Table II remap-function
-// microbenchmarks. All grid points are independent computations, so they
-// shard like any sweep.
+// Analytic / generator scenarios: the §VI-A5 complexity table and the
+// Figure 2 remapping-function search. All grid points are independent
+// computations, so they shard like any sweep.
 #include <cstdio>
 
 #include "analysis/equations.h"
-#include "bpu/mapping.h"
-#include "core/remap.h"
-#include "core/remap_cache.h"
-#include "core/secret_token.h"
-#include "core/stbpu_mapping.h"
 #include "exp/scenarios_internal.h"
-#include "exp/timing.h"
 #include "remapgen/search.h"
 
 namespace stbpu::exp {
@@ -129,87 +122,6 @@ class Fig2Scenario final : public ScenarioBase {
   }
 };
 
-// ---------------------------------------------------------------------------
-// table2_remap_functions — per-call software cost of the R-functions
-// (direct vs memo-cached). Wall-clock: rows are not shard-deterministic.
-// ---------------------------------------------------------------------------
-
-const bpu::ExecContext kCtx{.pid = 1, .hart = 0, .kernel = false};
-
-template <class Fn>
-double time_ns_per_call(Fn&& fn) {
-  constexpr int kIters = 2'000'000;
-  Stopwatch sw;
-  std::uint64_t acc = 0;
-  for (int i = 0; i < kIters; ++i) acc += fn(static_cast<std::uint64_t>(i));
-  do_not_optimize(acc);
-  return sw.seconds() / kIters * 1e9;
-}
-
-class Table2Scenario final : public ScenarioBase {
- public:
-  Table2Scenario()
-      : ScenarioBase("table2_remap_functions",
-                     "Table II: remap-function per-call cost, direct vs "
-                     "memo-cached") {}
-
-  std::vector<std::string> point_labels(const ExperimentSpec&) const override {
-    return {"R1_direct", "R4_direct", "R1_cached_hit", "R4_mapping"};
-  }
-
-  bool timing_sensitive(const ExperimentSpec&, std::size_t) const override {
-    return true;  // ns_per_call microbenchmarks must not share cores
-  }
-
-  PointResult run_point(const ExperimentSpec&, std::size_t index) const override {
-    PointResult p;
-    switch (index) {
-      case 0:
-        p.set("ns_per_call", time_ns_per_call([](std::uint64_t i) {
-                return core::Remapper::r1(0xDEADBEEF, 0x2345'6780ULL + 16 * i).set;
-              }));
-        break;
-      case 1:
-        p.set("ns_per_call", time_ns_per_call([](std::uint64_t i) {
-                return core::Remapper::r4(0xDEADBEEF, 0x2345'6780ULL, i & 0xFFFF);
-              }));
-        break;
-      case 2: {
-        // The devirtualized engine's hot path: R1 through the memo-cache
-        // with a resident working set (site-keyed lookups hit ~always).
-        core::STManager stm(1);
-        core::CachedStbpuMapping map(&stm);
-        p.set("ns_per_call", time_ns_per_call([&](std::uint64_t i) {
-                return map.btb_mode1(0x2345'6780ULL + 16 * (i & 255), kCtx).set;
-              }));
-        break;
-      }
-      case 3: {
-        // R4 through the engine's mapping: not memoized (its (ip, GHR) keys
-        // rarely recur), so this is the mix plus the token fetch.
-        core::STManager stm(1);
-        core::CachedStbpuMapping map(&stm);
-        p.set("ns_per_call", time_ns_per_call([&](std::uint64_t i) {
-                return map.pht_index_2level(0x2345'6780ULL, i, kCtx);
-              }));
-        break;
-      }
-    }
-    return p;
-  }
-
-  ScenarioOutput aggregate(const ExperimentSpec& spec,
-                           const std::vector<PointResult>& points) const override {
-    ScenarioOutput out;
-    const auto labels = point_labels(spec);
-    for (const std::size_t i : selected_indices(spec, points.size())) {
-      Row& row = out.rows.emplace_back(labels[i]);
-      row.fields = points[i].fields;
-    }
-    return out;
-  }
-};
-
 }  // namespace
 
 namespace scenarios {
@@ -217,7 +129,6 @@ namespace scenarios {
 void register_analysis() {
   register_scenario(new Fig2Scenario);
   register_scenario(new Sec6ThresholdsScenario);
-  register_scenario(new Table2Scenario);
 }
 
 }  // namespace scenarios

@@ -7,10 +7,8 @@
 #include <string_view>
 #include <vector>
 
-#include "core/remap_cache.h"
 #include "exp/scenario.h"
 #include "models/models.h"
-#include "sim/ooo.h"
 
 namespace stbpu::exp {
 
@@ -58,48 +56,11 @@ inline models::ModelSpec apply_spec_overrides(models::ModelSpec mspec,
   return mspec;
 }
 
-/// The `--cache-stats` side channel: per-function remap memo-cache counters
-/// attached to a measurement point, so a BENCH_*.json consumer can
-/// attribute memoization wins instead of inferring them from throughput
-/// deltas.
-inline void append_cache_stats(PointResult& p, const core::RemapCacheStats& s) {
-  p.set("cache_hits", s.hits)
-      .set("cache_misses", s.misses)
-      .set("cache_invalidations", s.invalidations);
-  for (unsigned f = 0; f < core::RemapCacheStats::kFnCount; ++f) {
-    const std::string base = std::string("cache_") + core::RemapCacheStats::fn_name(f);
-    p.set(base + "_hits", s.fn_hits[f]).set(base + "_misses", s.fn_misses[f]);
-  }
-}
-
-/// The `--stall-stats` side channel: the tick core's per-thread stall
-/// attribution attached to a cycle-level measurement point — where the
-/// simulated machine's cycles went (shared fetch port, branch redirects,
-/// ROB/IQ/LQ/SQ occupancy), so IPC deltas between configurations are
-/// attributable to a pipeline structure instead of inferred.
-inline void append_stall_stats(PointResult& p, const sim::OooResult& r) {
-  for (unsigned t = 0; t < r.threads; ++t) {
-    const sim::OooThreadStalls& s = r.stalls[t];
-    // Split concatenation (GCC 12 -Wrestrict false positive on
-    // `"lit" + std::string&&` chains, as in runner.cc).
-    std::string base = "t";
-    base += std::to_string(t);
-    base += "_stall_";
-    p.set(base + "fetch_bandwidth_cycles", s.fetch_bandwidth)
-        .set(base + "redirect_cycles", s.redirect)
-        .set(base + "rob_cycles", s.rob)
-        .set(base + "iq_cycles", s.iq)
-        .set(base + "lq_cycles", s.lq)
-        .set(base + "sq_cycles", s.sq);
-  }
-}
-
 namespace scenarios {
-void register_analysis();  // fig2_remapgen, sec6_thresholds, table2_remap_functions
+void register_analysis();  // fig2_remapgen, sec6_thresholds
 void register_attacks();   // table1_attack_surface, ablation, sec6_empirical
 void register_trace();     // fig3_oae
-void register_ooo();       // fig4_single, fig5_smt, fig6_rsweep, ooo_engine
-void register_mix();       // mix_batch (keyed-mix kernel study)
+void register_ooo();       // fig4_single, fig5_smt, fig6_rsweep
 void register_tenant();    // tenant_churn (multi-tenant ψ-token service)
 }  // namespace scenarios
 

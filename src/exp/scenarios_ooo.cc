@@ -1,21 +1,15 @@
-// Cycle-level (OoO) scenarios: Figures 4-6 and the engine-typed fan-out
-// study. Every simulated point goes through exp::for_each_engine — the
-// concrete EngineT<Mapping, Direction> is recovered once per run and
-// sim::run_ooo instantiates the cycle-level core on it, so the per-branch
-// access()/on_switch() path is fully devirtualized (the trace-replay
-// equivalent of models::replay_engine).
-#include <algorithm>
+// Cycle-level (OoO) scenarios: Figures 4-6. Every simulated point goes
+// through exp::for_each_engine — the concrete EngineT<Mapping, Direction>
+// is recovered once per run and sim::run_ooo instantiates the cycle-level
+// core on it, so the per-branch access()/on_switch() path is fully
+// devirtualized (the trace-replay equivalent of models::replay_engine).
 #include <cstdio>
-#include <memory>
 #include <string>
 
 #include "core/monitor.h"
 #include "exp/engine_visit.h"
 #include "exp/scenarios_internal.h"
-#include "exp/timing.h"
-#include "models/engine.h"
 #include "models/models.h"
-#include "sim/bpu_sim.h"
 #include "sim/ooo.h"
 #include "trace/generator.h"
 #include "trace/instr.h"
@@ -179,18 +173,8 @@ void set_cell_fields(PointResult& p, const MultiArmCell& c, const char* ipc_fiel
 }
 
 // ---------------------------------------------------------------------------
-// fig4_single — single-workload evaluation + engine throughput section.
+// fig4_single — single-workload evaluation.
 // ---------------------------------------------------------------------------
-
-constexpr models::ModelKind kThroughputModels[] = {
-    models::ModelKind::kUnprotected, models::ModelKind::kStbpu,
-    models::ModelKind::kStbpu,       models::ModelKind::kStbpu,
-    models::ModelKind::kCibpu,       models::ModelKind::kXorIsolation};
-constexpr models::DirectionKind kThroughputDirs[] = {
-    models::DirectionKind::kSklCond,    models::DirectionKind::kSklCond,
-    models::DirectionKind::kPerceptron, models::DirectionKind::kTage8,
-    models::DirectionKind::kSklCond,    models::DirectionKind::kSklCond};
-constexpr std::size_t kNumThroughput = 6;
 
 class Fig4Scenario final : public ScenarioBase {
  public:
@@ -201,59 +185,16 @@ class Fig4Scenario final : public ScenarioBase {
 
   std::vector<std::string> point_labels(const ExperimentSpec&) const override {
     std::vector<std::string> labels;
-    for (std::size_t t = 0; t < kNumThroughput; ++t) {
-      labels.push_back("throughput/" + models::to_string(kThroughputModels[t]) + "/" +
-                       models::to_string(kThroughputDirs[t]));
-    }
     for (const auto& profile : trace::figure4_profiles()) {
       for (const char* d : kDirNames) labels.push_back(profile.name + "/" + d);
     }
     return labels;
   }
 
-  bool timing_sensitive(const ExperimentSpec&, std::size_t index) const override {
-    return index < kNumThroughput;  // Stopwatch-timed replay throughput
-  }
-
   PointResult run_point(const ExperimentSpec& spec, std::size_t index) const override {
-    PointResult p;
-    if (index < kNumThroughput) {
-      // Replay throughput of the engine on a materialized trace, best of
-      // three repetitions; every repetition rebuilds the engine so all
-      // start cold.
-      const auto mspec = with_seed(
-          {.model = kThroughputModels[index], .direction = kThroughputDirs[index]}, spec);
-      const sim::BpuSimOptions opt{.max_branches = spec.scale.trace_branches,
-                                   .warmup_branches = spec.scale.trace_warmup};
-      trace::SyntheticWorkloadGenerator gen(trace::profile_by_name("mcf"));
-      trace::VectorStream stream(
-          trace::collect(gen, opt.warmup_branches + opt.max_branches));
-      const double branches =
-          static_cast<double>(opt.warmup_branches + opt.max_branches);
-
-      double secs = 1e300;
-      core::RemapCacheStats cache_stats;
-      for (unsigned rep = 0; rep < 3; ++rep) {
-        stream.reset();
-        auto engine = models::make_engine(mspec);
-        Stopwatch sw;
-        (void)models::replay_engine(*engine, stream, opt);
-        secs = std::min(secs, std::max(sw.seconds(), 1e-9));
-        if (rep == 0) {
-          cache_stats = models::engine_remap_cache_stats(*engine);
-        }
-      }
-      const double bps = branches / secs;
-      p.set("section", "throughput")
-          .set("branches_per_sec", bps)
-          .set("remap_cache_hit_rate", cache_stats.hit_rate());
-      if (spec.cache_stats) append_cache_stats(p, cache_stats);
-      return p;
-    }
-
-    const std::size_t cell = index - kNumThroughput;
     const auto profiles = trace::figure4_profiles();
-    const auto c = run_single_cell(spec, profiles[cell / 4], kDirs[cell % 4]);
+    const auto c = run_single_cell(spec, profiles[index / 4], kDirs[index % 4]);
+    PointResult p;
     p.set("section", "figure4");
     set_cell_fields(p, c, "normalized_ipc");
     return p;
@@ -263,18 +204,12 @@ class Fig4Scenario final : public ScenarioBase {
                            const std::vector<PointResult>& points) const override {
     ScenarioOutput out;
     const auto profiles = trace::figure4_profiles();
-    for (std::size_t t = 0; t < kNumThroughput; ++t) {
-      if (!spec.selected(t)) continue;
-      Row& row = out.rows.emplace_back(models::to_string(kThroughputModels[t]) + "/" +
-                                       models::to_string(kThroughputDirs[t]));
-      row.fields = points[t].fields;
-    }
     double sum_dir[kNumDefenseArms][4] = {}, sum_tgt[kNumDefenseArms][4] = {},
            sum_ipc[kNumDefenseArms][4] = {};
     unsigned count[4] = {};
     for (std::size_t p = 0; p < profiles.size(); ++p) {
       for (unsigned d = 0; d < 4; ++d) {
-        const std::size_t index = kNumThroughput + p * 4 + d;
+        const std::size_t index = p * 4 + d;
         if (!spec.selected(index)) continue;
         const PointResult& cell = points[index];
         for (std::size_t a = 0; a < kNumDefenseArms; ++a) {
@@ -529,163 +464,6 @@ class Fig6Scenario final : public ScenarioBase {
   }
 };
 
-// ---------------------------------------------------------------------------
-// ooo_engine — engine-typed OoO fan-out vs the interface-typed core.
-// ---------------------------------------------------------------------------
-
-class OooEngineScenario final : public ScenarioBase {
- public:
-  OooEngineScenario()
-      : ScenarioBase("ooo_engine",
-                     "Cycle-level core study: integer-tick SoA core vs the "
-                     "double-precision reference, typed vs IPredictor "
-                     "dispatch, pregenerated vs on-the-fly streams") {}
-
-  std::vector<std::string> point_labels(const ExperimentSpec&) const override {
-    std::vector<std::string> labels;
-    for (std::size_t t = 0; t < kNumThroughput; ++t) {
-      labels.push_back(models::to_string(kThroughputModels[t]) + "/" +
-                       models::to_string(kThroughputDirs[t]));
-    }
-    return labels;
-  }
-
-  bool timing_sensitive(const ExperimentSpec&, std::size_t) const override {
-    return true;  // every point is a best-of-3 wall-clock measurement
-  }
-
-  PointResult run_point(const ExperimentSpec& spec, std::size_t index) const override {
-    const auto mspec = with_seed(
-        {.model = kThroughputModels[index], .direction = kThroughputDirs[index]}, spec);
-    const auto profile = trace::profile_by_name("mcf");
-
-    // Interleaved best-of-3 (fresh engine + stream per repetition), four
-    // arms: the interface-typed tick core, the engine-typed tick core
-    // through for_each_engine, the engine-typed double-precision
-    // reference core (OooCoreRefT), the controlled A/B for the integer-tick
-    // + SoA rewrite (`int_speedup`), and the pregenerated-stream arm: the
-    // identical engine-typed tick core fed by a cursor over the shared
-    // whole-run SoA artifact instead of the on-the-fly generator
-    // (`gen_speedup` — the generation cost every other arm pays per run is
-    // exactly what pregeneration removes; the artifact itself is built once
-    // per process, outside every stopwatch, and reused across arms, reps
-    // and sweep points).
-    double iface_secs = 1e300, typed_secs = 1e300, ref_secs = 1e300, pregen_secs = 1e300;
-    sim::OooResult iface_result{}, typed_result{}, ref_result{}, pregen_result{};
-    core::RemapCacheStats cache_stats;
-    const bool pregen = pregen_enabled(spec);
-    std::shared_ptr<const trace::InstrTrace> pregen_trace;
-    if (pregen) {
-      pregen_trace = trace::shared_instr_trace(profile, pregen_instr_count(spec));
-    }
-    for (unsigned rep = 0; rep < 3; ++rep) {
-      {
-        auto engine = models::make_engine(mspec);
-        trace::SyntheticInstrGenerator gen(profile);
-        bpu::IPredictor* iface = engine.get();
-        Stopwatch sw;
-        iface_result = sim::run_ooo({}, *iface, {&gen}, spec.scale.ooo_instructions,
-                                    spec.scale.ooo_warmup);
-        iface_secs = std::min(iface_secs, std::max(sw.seconds(), 1e-9));
-      }
-      for_each_engine(mspec, [&](auto& engine) {
-        trace::SyntheticInstrGenerator gen(profile);
-        Stopwatch sw;
-        typed_result = sim::run_ooo({}, engine, {&gen}, spec.scale.ooo_instructions,
-                                    spec.scale.ooo_warmup);
-        typed_secs = std::min(typed_secs, std::max(sw.seconds(), 1e-9));
-        if (rep == 0) {
-          cache_stats = models::engine_remap_cache_stats(engine);
-        }
-      });
-      for_each_engine(mspec, [&](auto& engine) {
-        trace::SyntheticInstrGenerator gen(profile);
-        Stopwatch sw;
-        ref_result = sim::run_ooo_ref({}, engine, {&gen}, spec.scale.ooo_instructions,
-                                      spec.scale.ooo_warmup);
-        ref_secs = std::min(ref_secs, std::max(sw.seconds(), 1e-9));
-      });
-      for_each_engine(mspec, [&](auto& engine) {
-        // Generator fallback keeps the arm honest at budgets beyond the
-        // pregen cap: gen_speedup is then ~1.0 by construction.
-        if (pregen) {
-          trace::InstrTraceStream stream(pregen_trace);
-          Stopwatch sw;
-          pregen_result = sim::run_ooo({}, engine, {&stream},
-                                       spec.scale.ooo_instructions,
-                                       spec.scale.ooo_warmup);
-          pregen_secs = std::min(pregen_secs, std::max(sw.seconds(), 1e-9));
-        } else {
-          trace::SyntheticInstrGenerator gen(profile);
-          Stopwatch sw;
-          pregen_result = sim::run_ooo({}, engine, {&gen},
-                                       spec.scale.ooo_instructions,
-                                       spec.scale.ooo_warmup);
-          pregen_secs = std::min(pregen_secs, std::max(sw.seconds(), 1e-9));
-        }
-      });
-    }
-    const double branches = static_cast<double>(typed_result.combined_stats().branches);
-    const double iface_bps = branches / iface_secs;
-    const double typed_bps = branches / typed_secs;
-    const double ref_bps = branches / ref_secs;
-    const double pregen_bps = branches / pregen_secs;
-    // Every arm must be bit-identical in everything the simulation
-    // computes: BranchStats, instruction counts, cycles, the cache
-    // hierarchy's demand counters, and — among the tick-core arms — the
-    // stall attribution (the double reference predates the counters and
-    // leaves them zero by design).
-    const bool identical =
-        iface_result.combined_stats() == typed_result.combined_stats() &&
-        iface_result.instructions == typed_result.instructions &&
-        iface_result.cycles == typed_result.cycles &&
-        iface_result.cache == typed_result.cache &&
-        iface_result.stalls == typed_result.stalls &&
-        ref_result.combined_stats() == typed_result.combined_stats() &&
-        ref_result.instructions == typed_result.instructions &&
-        ref_result.cycles == typed_result.cycles &&
-        ref_result.cache == typed_result.cache &&
-        pregen_result.combined_stats() == typed_result.combined_stats() &&
-        pregen_result.instructions == typed_result.instructions &&
-        pregen_result.cycles == typed_result.cycles &&
-        pregen_result.cache == typed_result.cache &&
-        pregen_result.stalls == typed_result.stalls;
-    PointResult p;
-    p.set("iface_branches_per_sec", iface_bps)
-        .set("typed_branches_per_sec", typed_bps)
-        .set("ref_double_branches_per_sec", ref_bps)
-        .set("pregen_branches_per_sec", pregen_bps)
-        .set("branches_per_sec", typed_bps)
-        .set("speedup", typed_bps / iface_bps)
-        .set("int_speedup", typed_bps / ref_bps)
-        .set("gen_speedup", pregen_bps / typed_bps)
-        .set("pregen_mode", pregen ? "artifact" : "generator-fallback")
-        .set("measured_branches", std::uint64_t{typed_result.combined_stats().branches})
-        .set("ipc", typed_result.ipc[0])
-        .set("l1d_hits", typed_result.cache.l1d_hits)
-        .set("l1d_misses", typed_result.cache.l1d_misses)
-        .set("l2_hits", typed_result.cache.l2_hits)
-        .set("l2_misses", typed_result.cache.l2_misses)
-        .set("llc_hits", typed_result.cache.llc_hits)
-        .set("llc_misses", typed_result.cache.llc_misses)
-        .set("identical_stats", identical ? "true" : "false");
-    if (spec.cache_stats) append_cache_stats(p, cache_stats);
-    if (spec.stall_stats) append_stall_stats(p, typed_result);
-    return p;
-  }
-
-  ScenarioOutput aggregate(const ExperimentSpec& spec,
-                           const std::vector<PointResult>& points) const override {
-    ScenarioOutput out;
-    const auto labels = point_labels(spec);
-    for (const std::size_t i : selected_indices(spec, points.size())) {
-      Row& row = out.rows.emplace_back(labels[i]);
-      row.fields = points[i].fields;
-    }
-    return out;
-  }
-};
-
 }  // namespace
 
 namespace scenarios {
@@ -694,7 +472,6 @@ void register_ooo() {
   register_scenario(new Fig4Scenario);
   register_scenario(new Fig5Scenario);
   register_scenario(new Fig6Scenario);
-  register_scenario(new OooEngineScenario);
 }
 
 }  // namespace scenarios

@@ -1,9 +1,9 @@
 // tenant_churn — the multi-tenant ψ-token service under scheduling churn:
 // N tenants (1 → ≥1M) multiplexed onto the engine's bounded pid pool
 // through tenant::TokenService, driven by tenant::run_churn's
-// register → context-switch-storm → branchy-churn phases. Reports
-// aggregate throughput, the service's scheduling/eviction counters, and
-// per-tenant misprediction + lookup tails (p50/p99).
+// register → context-switch-storm → branchy-churn phases. Reports the
+// service's scheduling/eviction counters and per-tenant misprediction +
+// lookup tails (p50/p99); every field is deterministic.
 //
 // The 1-tenant point is the subsystem's correctness anchor: the service's
 // virgin-slot path issues zero STManager/EventMonitor calls, so its
@@ -17,7 +17,6 @@
 #include "core/monitor.h"
 #include "exp/engine_visit.h"
 #include "exp/scenarios_internal.h"
-#include "exp/timing.h"
 #include "models/engine.h"
 #include "models/models.h"
 #include "sim/bpu_sim.h"
@@ -77,10 +76,6 @@ class TenantChurnScenario final : public ScenarioBase {
     std::vector<std::string> labels;
     for (const TenantPoint& p : kPoints) labels.emplace_back(p.label);
     return labels;
-  }
-
-  bool timing_sensitive(const ExperimentSpec&, std::size_t) const override {
-    return true;  // every point publishes wall-clock throughput
   }
 
   PointResult run_point(const ExperimentSpec& spec, std::size_t index) const override {
@@ -160,15 +155,7 @@ class TenantChurnScenario final : public ScenarioBase {
         .set("misp_p50", r.misp_p50)
         .set("misp_p99", r.misp_p99)
         .set("probe_p50", r.probe_p50)
-        .set("probe_p99", r.probe_p99)
-        .set("storm_macq_per_s",
-             r.storm_seconds > 0
-                 ? static_cast<double>(r.storm_acquires) / r.storm_seconds / 1e6
-                 : 0.0)
-        .set("churn_mbr_per_s",
-             r.churn_seconds > 0
-                 ? static_cast<double>(r.branches_processed) / r.churn_seconds / 1e6
-                 : 0.0);
+        .set("probe_p99", r.probe_p99);
     return p;
   }
 

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
+#include <string_view>
 
 #include "models/models.h"
 
@@ -104,23 +105,41 @@ std::string ExperimentSpec::to_json(bool with_shard) const {
     }
     out += "}";
   }
-  if (cache_stats) out += ", \"cache_stats\": true";
-  if (stall_stats) out += ", \"stall_stats\": true";
   out += "}";
   return out;
 }
 
 namespace {
 
-bool want_u64(const JsonValue& v, std::uint64_t& out, const char* key, std::string& err) {
-  // strtoull would silently wrap negatives to huge values; reject any
-  // non-integral literal outright ("a sweep spec is never silently
-  // reinterpreted").
-  if (!v.is_number() || v.text().find_first_of("-+.eE") != std::string::npos) {
-    err = std::string("'") + key + "' must be a non-negative integer";
+/// Integer field of width T: a non-integral, negative or out-of-range
+/// literal is an error naming the field, never a wrapped, truncated or
+/// saturated value.
+template <class T>
+bool want_uint(const JsonValue& v, T& out, const std::string& key, std::string& err) {
+  constexpr std::uint64_t kMax = std::numeric_limits<T>::max();
+  std::uint64_t u = 0;
+  if (!v.as_uint(kMax, u)) {
+    err = "'" + key + "' must be a non-negative integer no larger than " +
+          std::to_string(kMax) + ", got " +
+          (v.is_number() ? v.text() : std::string("a non-number"));
     return false;
   }
-  out = v.as_u64();
+  out = static_cast<T>(u);
+  return true;
+}
+
+/// json_parse keeps every member of an object, so a repeated key would
+/// otherwise apply twice (list fields append, scalars take the last).
+bool unique_keys(const JsonValue& obj, const char* where, std::string& err) {
+  const auto& m = obj.members();
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      if (m[j].first == m[i].first) {
+        err = std::string("repeated key '") + m[i].first + "' in " + where;
+        return false;
+      }
+    }
+  }
   return true;
 }
 
@@ -147,6 +166,7 @@ bool ExperimentSpec::from_json(const JsonValue& v, ExperimentSpec& out, std::str
     err = "spec must be a JSON object";
     return false;
   }
+  if (!unique_keys(v, "spec", err)) return false;
   for (const auto& [key, val] : v.members()) {
     if (key == "scenario") {
       if (!val.is_string()) {
@@ -159,6 +179,7 @@ bool ExperimentSpec::from_json(const JsonValue& v, ExperimentSpec& out, std::str
         err = "'scale' must be an object";
         return false;
       }
+      if (!unique_keys(val, "'scale'", err)) return false;
       // The name seeds the preset; explicit budget fields override it.
       if (const JsonValue* name = val.find("name")) {
         const auto preset = Scale::named(name->text());
@@ -179,41 +200,36 @@ bool ExperimentSpec::from_json(const JsonValue& v, ExperimentSpec& out, std::str
           err = "unknown scale field '" + sk + "'";
           return false;
         }
-        if (!want_u64(sv, *field, sk.c_str(), err)) return false;
+        if (!want_uint(sv, *field, sk, err)) return false;
       }
     } else if (key == "jobs") {
-      std::uint64_t jobs = 0;
-      if (!want_u64(val, jobs, "jobs", err)) return false;
-      out.jobs = static_cast<unsigned>(jobs);
+      if (!want_uint(val, out.jobs, "jobs", err)) return false;
     } else if (key == "shard") {
       if (!val.is_object()) {
         err = "'shard' must be an object";
         return false;
       }
-      std::uint64_t index = 0, count = 1;
+      if (!unique_keys(val, "'shard'", err)) return false;
+      std::uint32_t index = 0, count = 1;
       if (const JsonValue* i = val.find("index")) {
-        if (!want_u64(*i, index, "shard.index", err)) return false;
+        if (!want_uint(*i, index, "shard.index", err)) return false;
       }
       if (const JsonValue* c = val.find("count")) {
-        if (!want_u64(*c, count, "shard.count", err)) return false;
+        if (!want_uint(*c, count, "shard.count", err)) return false;
       }
       if (count == 0 || index >= count) {
         err = "shard index must satisfy index < count";
         return false;
       }
-      out.shard_index = static_cast<std::uint32_t>(index);
-      out.shard_count = static_cast<std::uint32_t>(count);
+      out.shard_index = index;
+      out.shard_count = count;
     } else if (key == "points") {
       if (!val.is_array()) {
         err = "'points' must be an array of indices";
         return false;
       }
       for (const JsonValue& p : val.items()) {
-        if (!p.is_number()) {
-          err = "'points' entries must be numbers";
-          return false;
-        }
-        out.points.push_back(static_cast<std::size_t>(p.as_u64()));
+        if (!want_uint(p, out.points.emplace_back(), "points", err)) return false;
       }
       std::sort(out.points.begin(), out.points.end());
       out.points.erase(std::unique(out.points.begin(), out.points.end()),
@@ -225,7 +241,7 @@ bool ExperimentSpec::from_json(const JsonValue& v, ExperimentSpec& out, std::str
       }
       out.trace_file = val.text();
     } else if (key == "seed") {
-      if (!want_u64(val, out.seed, "seed", err)) return false;
+      if (!want_uint(val, out.seed, "seed", err)) return false;
     } else if (key == "arms") {
       if (!val.is_array()) {
         err = "'arms' must be an array of model-kind names";
@@ -248,6 +264,7 @@ bool ExperimentSpec::from_json(const JsonValue& v, ExperimentSpec& out, std::str
         err = "'monitor' must be an object";
         return false;
       }
+      if (!unique_keys(val, "'monitor'", err)) return false;
       for (const auto& [mk, mv] : val.members()) {
         if (mk == "difficulty_r") {
           if (!want_positive_double(mv, out.monitor.difficulty_r, "monitor.difficulty_r",
@@ -255,18 +272,18 @@ bool ExperimentSpec::from_json(const JsonValue& v, ExperimentSpec& out, std::str
             return false;
           }
         } else if (mk == "misprediction_threshold") {
-          if (!want_u64(mv, out.monitor.misprediction_threshold,
-                        "monitor.misprediction_threshold", err)) {
+          if (!want_uint(mv, out.monitor.misprediction_threshold,
+                         "monitor.misprediction_threshold", err)) {
             return false;
           }
         } else if (mk == "eviction_threshold") {
-          if (!want_u64(mv, out.monitor.eviction_threshold, "monitor.eviction_threshold",
-                        err)) {
+          if (!want_uint(mv, out.monitor.eviction_threshold, "monitor.eviction_threshold",
+                         err)) {
             return false;
           }
         } else if (mk == "tagged_misprediction_threshold") {
-          if (!want_u64(mv, out.monitor.tagged_misprediction_threshold,
-                        "monitor.tagged_misprediction_threshold", err)) {
+          if (!want_uint(mv, out.monitor.tagged_misprediction_threshold,
+                         "monitor.tagged_misprediction_threshold", err)) {
             return false;
           }
         } else {
@@ -274,18 +291,6 @@ bool ExperimentSpec::from_json(const JsonValue& v, ExperimentSpec& out, std::str
           return false;
         }
       }
-    } else if (key == "cache_stats") {
-      if (!val.is_bool()) {
-        err = "'cache_stats' must be a boolean";
-        return false;
-      }
-      out.cache_stats = val.as_bool();
-    } else if (key == "stall_stats") {
-      if (!val.is_bool()) {
-        err = "'stall_stats' must be a boolean";
-        return false;
-      }
-      out.stall_stats = val.as_bool();
     } else {
       err = "unknown spec field '" + key + "'";
       return false;
@@ -305,14 +310,13 @@ bool parse_shard(const std::string& text, std::uint32_t& index, std::uint32_t& c
     err = "shard must look like i/N (e.g. 0/2), got '" + text + "'";
     return false;
   }
-  char* end = nullptr;
-  const unsigned long i = std::strtoul(text.c_str(), &end, 10);
-  if (end != text.c_str() + slash) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint32_t>::max();
+  std::uint64_t i = 0, n = 0;
+  if (!parse_uint(std::string_view(text).substr(0, slash), kMax, i)) {
     err = "bad shard index in '" + text + "'";
     return false;
   }
-  const unsigned long n = std::strtoul(text.c_str() + slash + 1, &end, 10);
-  if (*end != '\0' || n == 0) {
+  if (!parse_uint(std::string_view(text).substr(slash + 1), kMax, n) || n == 0) {
     err = "bad shard count in '" + text + "'";
     return false;
   }
@@ -329,45 +333,40 @@ bool parse_shard(const std::string& text, std::uint32_t& index, std::uint32_t& c
 bool parse_points(const std::string& text, std::vector<std::size_t>& out,
                   std::string& err) {
   out.clear();
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    char* end = nullptr;
-    const unsigned long first = std::strtoul(text.c_str() + pos, &end, 10);
-    if (end == text.c_str() + pos) {
+  if (text.empty()) {
+    err = "empty point list";
+    return false;
+  }
+  constexpr std::uint64_t kMaxIndex = std::numeric_limits<std::size_t>::max();
+  std::string_view rest = text;
+  for (;;) {
+    const std::size_t comma = rest.find(',');
+    const std::string_view item = rest.substr(0, comma);
+    const std::size_t dash = item.find('-');
+    std::uint64_t first = 0, last = 0;
+    if (!parse_uint(item.substr(0, dash), kMaxIndex, first) ||
+        (dash != std::string_view::npos &&
+         !parse_uint(item.substr(dash + 1), kMaxIndex, last))) {
       err = "bad point list '" + text + "'";
       return false;
     }
-    unsigned long last = first;
-    if (*end == '-') {
-      const char* lo = end + 1;
-      last = std::strtoul(lo, &end, 10);
-      if (end == lo || last < first) {
-        err = "bad point range in '" + text + "'";
-        return false;
-      }
+    if (dash == std::string_view::npos) last = first;
+    if (last < first) {
+      err = "bad point range in '" + text + "'";
+      return false;
     }
     // Ranges materialize eagerly; cap them so an absurd (or maximal,
     // wrap-prone) range is a hard error instead of an OOM/hang. No grid
     // comes close to this — out-of-range indices are caught against the
     // actual grid size at run time.
-    constexpr unsigned long kMaxPoints = 1'000'000;
+    constexpr std::uint64_t kMaxPoints = 1'000'000;
     if (last - first >= kMaxPoints || out.size() + (last - first) >= kMaxPoints) {
       err = "point range in '" + text + "' is too large";
       return false;
     }
-    for (unsigned long i = first; i <= last; ++i) out.push_back(i);
-    pos = static_cast<std::size_t>(end - text.c_str());
-    if (pos < text.size()) {
-      if (text[pos] != ',') {
-        err = "bad point list '" + text + "'";
-        return false;
-      }
-      ++pos;
-    }
-  }
-  if (out.empty()) {
-    err = "empty point list";
-    return false;
+    for (std::uint64_t i = first; i <= last; ++i) out.push_back(i);
+    if (comma == std::string_view::npos) break;
+    rest.remove_prefix(comma + 1);
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());

@@ -73,15 +73,6 @@ struct ExperimentSpec {
   std::vector<std::string> arms;
   /// Monitor threshold overrides (0 = scenario defaults; see MonitorOverride).
   MonitorOverride monitor;
-  /// Attach the remap memo-cache's per-function hit/miss/batch-fill
-  /// counters to measurement points (JSON side-channel fields), so batching
-  /// wins are attributable instead of inferred (`--cache-stats`).
-  bool cache_stats = false;
-  /// Attach the OoO core's per-thread stall attribution (cycles lost to
-  /// fetch bandwidth, branch redirects, ROB/IQ/LQ/SQ occupancy) to
-  /// cycle-level measurement points (`--stall-stats`), the same style of
-  /// opt-in side channel as cache_stats.
-  bool stall_stats = false;
 
   [[nodiscard]] bool sharded() const noexcept { return shard_count > 1; }
   /// True when grid point `index` is selected (before sharding).
@@ -95,14 +86,16 @@ struct ExperimentSpec {
   /// Serialize (without shard fields when `with_shard` is false, so the
   /// merged output of a sharded sweep matches an unsharded run exactly).
   [[nodiscard]] std::string to_json(bool with_shard = true) const;
-  /// Parse from a JSON object. Unknown keys are errors (declarative specs
-  /// should never silently drop a directive).
+  /// Parse from a JSON object. Unknown keys, repeated keys and integers
+  /// outside their field's range are errors naming the field (declarative
+  /// specs should never silently drop or reinterpret a directive).
   static bool from_json(const JsonValue& v, ExperimentSpec& out, std::string& err);
 
   friend bool operator==(const ExperimentSpec&, const ExperimentSpec&) = default;
 };
 
-/// Parse "i/N" (e.g. --shard=0/2). Requires N >= 1 and i < N.
+/// Parse "i/N" (e.g. --shard=0/2). Requires N >= 1, i < N and N to fit
+/// 32 bits.
 bool parse_shard(const std::string& text, std::uint32_t& index, std::uint32_t& count,
                  std::string& err);
 

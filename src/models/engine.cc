@@ -101,15 +101,6 @@ std::unique_ptr<bpu::IPredictor> make_engine(const ModelSpec& spec) {
   return out;
 }
 
-core::RemapCacheStats engine_remap_cache_stats(const bpu::IPredictor& engine) {
-  core::RemapCacheStats stats;
-  visit_engine(const_cast<bpu::IPredictor&>(engine), [&](auto& e) {
-    using Mapping = std::remove_reference_t<decltype(e.mapping())>;
-    if constexpr (bpu::StatsReporting<Mapping>) stats = e.mapping().stats();
-  });
-  return stats;
-}
-
 core::EventMonitor* engine_monitor(bpu::IPredictor& engine) {
   core::EventMonitor* monitor = nullptr;
   visit_engine(engine, [&](auto& e) { monitor = e.monitor(); });

@@ -259,10 +259,6 @@ bool visit_engine(bpu::IPredictor& engine, Fn&& fn) {
   return detail::visit_engine_list(engine, fn, detail::UniqueEngineMappings{});
 }
 
-/// Remap-cache statistics of a memo-cached engine (STBPU, CIBPU) built by
-/// make_engine (zeros for other arms or foreign predictors).
-[[nodiscard]] core::RemapCacheStats engine_remap_cache_stats(const bpu::IPredictor& engine);
-
 /// Event monitor of a token-keyed engine built by make_engine (nullptr for
 /// arms without tokens or foreign predictors).
 [[nodiscard]] core::EventMonitor* engine_monitor(bpu::IPredictor& engine);

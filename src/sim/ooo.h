@@ -110,8 +110,7 @@ struct OooResult {
   std::array<OooThreadStalls, kMaxSmtThreads> stalls{};
   /// Demand hit/miss counters of the core's cache hierarchy over the whole
   /// run (warm-up included) — the cache simulation's fingerprint, asserted
-  /// bit-equal across core variants by the ooo_engine scenario and watched
-  /// by the CI compare gate.
+  /// bit-equal across core variants by the equivalence tests.
   CacheHierarchyCounters cache{};
 
   [[nodiscard]] double ipc_harmonic_mean() const {
@@ -807,9 +806,8 @@ OooResult run_ooo(const OooConfig& cfg, Bpu& bpu, std::vector<trace::InstrStream
   return core.run(instr_budget, warmup);
 }
 
-/// Same entry point over the double-precision reference core — the A/B
-/// partner for run_ooo (the ooo_engine scenario's `int_speedup` field) and
-/// the oracle the equivalence tests compare against.
+/// Same entry point over the double-precision reference core — the oracle
+/// the equivalence tests compare the tick core against.
 template <class Bpu>
 OooResult run_ooo_ref(const OooConfig& cfg, Bpu& bpu,
                       std::vector<trace::InstrStream*> threads,

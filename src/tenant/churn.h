@@ -74,7 +74,9 @@ struct ChurnResult {
   // deterministic for a fixed (workload, seed) pair.
   double misp_p50 = 0.0, misp_p99 = 0.0;
   double probe_p50 = 0.0, probe_p99 = 0.0;
-  double storm_seconds = 0.0, churn_seconds = 0.0;
+  /// Wall-clock time of the branchy-churn phase (perfbench's churn cells
+  /// time it; no scenario field reads it).
+  double churn_seconds = 0.0;
 };
 
 template <class Engine>
@@ -108,7 +110,6 @@ ChurnResult run_churn(Engine& engine, std::span<const bpu::BranchRecord> base,
   }
 
   // Phase 2: context-switch storm, zero branches.
-  const auto storm_start = clock::now();
   for (std::uint64_t pass = 0; pass < cfg.storm_passes; ++pass) {
     for (std::uint64_t t = 0; t < cfg.tenants; ++t) {
       const TenantId id = cfg.first_id + t;
@@ -121,7 +122,6 @@ ChurnResult run_churn(Engine& engine, std::span<const bpu::BranchRecord> base,
       svc.release(id);
     }
   }
-  out.storm_seconds = std::chrono::duration<double>(clock::now() - storm_start).count();
 
   // Phase 3: branchy churn. The loop body mirrors sim::replay record for
   // record; every deviation would break the bit-identity anchor.

@@ -1,6 +1,5 @@
 // Bit-identity properties of the batched mix kernels: every rendering
-// (T-table rounds, layered 16-bit double-byte LUT, AVX2 shuffles) and every
-// lane count of detail::mix_batch must reproduce scalar detail::mix
+// (T-table lanes, AVX2 shuffles) and every lane count of detail::mix_batch must reproduce scalar detail::mix
 // exactly, over random and adversarial inputs and across ψ re-keys —
 // that identity is what lets the remap cache fill entries from batched
 // kernels without the equivalence tests ever noticing.
@@ -17,11 +16,6 @@
 namespace stbpu::core {
 namespace {
 
-using detail::kPresentByteLut;
-using detail::kPresentLut16;
-using detail::kSpongentByteLut;
-using detail::kSpongentLut16;
-
 std::vector<std::uint64_t> adversarial_words() {
   return {0x0ULL,
           ~0x0ULL,
@@ -37,41 +31,14 @@ std::vector<std::uint64_t> adversarial_words() {
           0xFEDCBA9876543210ULL};
 }
 
-TEST(MixBatch, Lut16SboxLayerMatchesByteLut) {
-  util::Xoshiro256 rng(0x51B0);
-  auto check = [](std::uint64_t x) {
-    EXPECT_EQ(detail::sbox_layer16<kPresentLut16>(x),
-              detail::sbox_layer<kPresentByteLut>(x))
-        << std::hex << x;
-    EXPECT_EQ(detail::sbox_layer16<kSpongentLut16>(x),
-              detail::sbox_layer<kSpongentByteLut>(x))
-        << std::hex << x;
-  };
-  for (const std::uint64_t x : adversarial_words()) check(x);
-  for (int i = 0; i < 20000; ++i) check(rng());
-}
-
-TEST(MixBatch, Lut16TableIsTheByteTableOnBothHalves) {
-  // Structural identity, checked exhaustively: entry i of the wide table
-  // is the byte LUT applied independently to i's two bytes.
-  for (unsigned i = 0; i < 65536; ++i) {
-    const std::uint16_t expect = static_cast<std::uint16_t>(
-        kPresentByteLut[i & 0xFF] | (unsigned{kPresentByteLut[i >> 8]} << 8));
-    ASSERT_EQ(kPresentLut16[i], expect) << i;
-    const std::uint16_t expect_s = static_cast<std::uint16_t>(
-        kSpongentByteLut[i & 0xFF] | (unsigned{kSpongentByteLut[i >> 8]} << 8));
-    ASSERT_EQ(kSpongentLut16[i], expect_s) << i;
-  }
-}
-
-template <unsigned N, bool UseLut16>
+template <unsigned N>
 void expect_lanes_match_scalar(std::uint32_t psi, std::uint64_t tweak,
                                const std::uint64_t* lo, const std::uint64_t* hi) {
   std::uint64_t out[N];
-  detail::mix_batch<N, UseLut16>(lo, hi, psi, tweak, out);
+  detail::mix_batch<N>(lo, hi, psi, tweak, out);
   for (unsigned i = 0; i < N; ++i) {
     EXPECT_EQ(out[i], detail::mix(lo[i], hi[i], psi, tweak))
-        << "lane " << i << " of N=" << N << " lut16=" << UseLut16;
+        << "lane " << i << " of N=" << N;
   }
   // The production dispatch entry point (AVX2 nibble-shuffle kernel when
   // the host supports it, T-table lanes otherwise) must match too.
@@ -97,8 +64,7 @@ void run_property(std::uint64_t seed) {
       lo[i] = rng();
       hi[i] = rng();
     }
-    expect_lanes_match_scalar<N, false>(psi, tweak, lo, hi);
-    expect_lanes_match_scalar<N, true>(psi, tweak, lo, hi);
+    expect_lanes_match_scalar<N>(psi, tweak, lo, hi);
   }
 
   // Adversarial lane contents: all-zeros, all-ones, and every adversarial
@@ -111,10 +77,8 @@ void run_property(std::uint64_t seed) {
     }
     for (const std::uint64_t tweak :
          {Remapper::kTweakR1, Remapper::kTweakR4, Remapper::kTweakRp}) {
-      expect_lanes_match_scalar<N, false>(0u, tweak, lo, hi);
-      expect_lanes_match_scalar<N, true>(0u, tweak, lo, hi);
-      expect_lanes_match_scalar<N, false>(~0u, tweak, lo, hi);
-      expect_lanes_match_scalar<N, true>(~0u, tweak, lo, hi);
+      expect_lanes_match_scalar<N>(0u, tweak, lo, hi);
+      expect_lanes_match_scalar<N>(~0u, tweak, lo, hi);
     }
   }
 
@@ -127,10 +91,8 @@ void run_property(std::uint64_t seed) {
   }
   const std::uint32_t psi_a = static_cast<std::uint32_t>(rng());
   const std::uint32_t psi_b = ~psi_a;
-  expect_lanes_match_scalar<N, true>(psi_a, Remapper::kTweakR4, lo, hi);
-  expect_lanes_match_scalar<N, true>(psi_b, Remapper::kTweakR4, lo, hi);
-  expect_lanes_match_scalar<N, false>(psi_a, Remapper::kTweakR4, lo, hi);
-  expect_lanes_match_scalar<N, false>(psi_b, Remapper::kTweakR4, lo, hi);
+  expect_lanes_match_scalar<N>(psi_a, Remapper::kTweakR4, lo, hi);
+  expect_lanes_match_scalar<N>(psi_b, Remapper::kTweakR4, lo, hi);
 }
 
 TEST(MixBatch, Lanes1MatchScalar) { run_property<1>(0xA1); }

@@ -1,9 +1,10 @@
-// The CI perf-regression gate's comparison semantics: correctness fields
-// (strings, integer stat counters) are fatal on any difference; throughput
-// fields (floating-point) only ever produce advisory deltas; grid drift
-// (rows/keys on one side only) and scale mismatches are notes, never
-// failures — the gate must not block a PR for legitimately evolving the
-// sweep, only for silently changing what the simulation computes.
+// The CI regression gate's comparison semantics: every scenario field is a
+// deterministic simulation output, so a changed value — string, integer
+// counter or float — is fatal; a formatting drift that keeps the value is
+// not; grid drift (rows/keys on one side only) and scale mismatches are
+// notes, never failures — the gate must not block a PR for legitimately
+// evolving the sweep, only for silently changing what the simulation
+// computes.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -14,13 +15,13 @@ namespace stbpu::exp {
 namespace {
 
 std::string bench_json(const std::string& scale, const std::string& rows) {
-  return "{\n  \"bench\": \"ooo_engine\",\n  \"scale\": \"" + scale +
+  return "{\n  \"bench\": \"tenant_churn\",\n  \"scale\": \"" + scale +
          "\",\n  \"rows\": [\n    " + rows + "\n  ]\n}\n";
 }
 
 const char* kBaseRow =
-    "{\"label\": \"STBPU/SKLCond\", \"branches_per_sec\": 2002791.164, "
-    "\"gen_speedup\": 1.5, \"measured_branches\": 6412, \"l1d_misses\": 8174, "
+    "{\"label\": \"STBPU/SKLCond\", \"oae\": 0.9402791164, "
+    "\"misp_p99\": 1.5, \"measured_branches\": 6412, \"l1d_misses\": 8174, "
     "\"identical_stats\": \"true\"}";
 
 TEST(CompareBench, IdenticalFilesPass) {
@@ -29,34 +30,50 @@ TEST(CompareBench, IdenticalFilesPass) {
   std::string err;
   ASSERT_TRUE(compare_bench(text, text, {}, report, err)) << err;
   EXPECT_TRUE(report.ok());
-  EXPECT_TRUE(report.deltas.empty());
   EXPECT_TRUE(report.notes.empty());
-  EXPECT_EQ(report.bench, "ooo_engine");
+  EXPECT_EQ(report.bench, "tenant_churn");
   EXPECT_EQ(report.compared_fields, 5u);
 }
 
-TEST(CompareBench, ThroughputDeltaIsAdvisory) {
+TEST(CompareBench, FloatChangeIsFatal) {
   const std::string old_text = bench_json("quick", kBaseRow);
   const std::string new_text = bench_json(
       "quick",
-      "{\"label\": \"STBPU/SKLCond\", \"branches_per_sec\": 1001395.582, "
-      "\"gen_speedup\": 1.8, \"measured_branches\": 6412, \"l1d_misses\": 8174, "
+      "{\"label\": \"STBPU/SKLCond\", \"oae\": 0.9402791165, "
+      "\"misp_p99\": 1.8, \"measured_branches\": 6412, \"l1d_misses\": 8174, "
       "\"identical_stats\": \"true\"}");
   CompareReport report;
   std::string err;
   ASSERT_TRUE(compare_bench(old_text, new_text, {}, report, err)) << err;
-  EXPECT_TRUE(report.ok()) << "throughput halving must not fail the gate";
-  ASSERT_EQ(report.deltas.size(), 2u);
-  EXPECT_EQ(report.deltas[0].key, "branches_per_sec");
-  EXPECT_NEAR(report.deltas[0].delta_frac, -0.5, 1e-6);
+  EXPECT_FALSE(report.ok()) << "a changed float fails the gate";
+  ASSERT_EQ(report.regressions.size(), 2u);
+  EXPECT_EQ(report.regressions[0].key, "oae");
+  EXPECT_EQ(report.regressions[0].old_value, "0.9402791164");
+  EXPECT_EQ(report.regressions[0].new_value, "0.9402791165");
+  EXPECT_EQ(report.regressions[1].key, "misp_p99");
+}
+
+TEST(CompareBench, IntegralDoubleChangeIsFatal) {
+  // An integral double is written with a trailing ".0" (scenario.cc's
+  // format_double); moving off it is a change like any other.
+  const std::string old_text =
+      bench_json("quick", "{\"label\": \"r\", \"normalized_ipc\": 1.0}");
+  const std::string new_text =
+      bench_json("quick", "{\"label\": \"r\", \"normalized_ipc\": 0.5}");
+  CompareReport report;
+  std::string err;
+  ASSERT_TRUE(compare_bench(old_text, new_text, {}, report, err)) << err;
+  EXPECT_FALSE(report.ok());
+  ASSERT_EQ(report.regressions.size(), 1u);
+  EXPECT_EQ(report.regressions[0].key, "normalized_ipc");
 }
 
 TEST(CompareBench, CounterChangeIsFatal) {
   const std::string old_text = bench_json("quick", kBaseRow);
   const std::string new_text = bench_json(
       "quick",
-      "{\"label\": \"STBPU/SKLCond\", \"branches_per_sec\": 2002791.164, "
-      "\"gen_speedup\": 1.5, \"measured_branches\": 6413, \"l1d_misses\": 8170, "
+      "{\"label\": \"STBPU/SKLCond\", \"oae\": 0.9402791164, "
+      "\"misp_p99\": 1.5, \"measured_branches\": 6413, \"l1d_misses\": 8170, "
       "\"identical_stats\": \"true\"}");
   CompareReport report;
   std::string err;
@@ -71,8 +88,8 @@ TEST(CompareBench, StringChangeIsFatal) {
   const std::string old_text = bench_json("quick", kBaseRow);
   const std::string new_text = bench_json(
       "quick",
-      "{\"label\": \"STBPU/SKLCond\", \"branches_per_sec\": 2002791.164, "
-      "\"gen_speedup\": 1.5, \"measured_branches\": 6412, \"l1d_misses\": 8174, "
+      "{\"label\": \"STBPU/SKLCond\", \"oae\": 0.9402791164, "
+      "\"misp_p99\": 1.5, \"measured_branches\": 6412, \"l1d_misses\": 8174, "
       "\"identical_stats\": \"false\"}");
   CompareReport report;
   std::string err;
@@ -87,8 +104,8 @@ TEST(CompareBench, IgnoreListSuppressesFatal) {
   const std::string old_text = bench_json("quick", kBaseRow);
   const std::string new_text = bench_json(
       "quick",
-      "{\"label\": \"STBPU/SKLCond\", \"branches_per_sec\": 2002791.164, "
-      "\"gen_speedup\": 1.5, \"measured_branches\": 9999, \"l1d_misses\": 8174, "
+      "{\"label\": \"STBPU/SKLCond\", \"oae\": 0.9402791164, "
+      "\"misp_p99\": 1.5, \"measured_branches\": 9999, \"l1d_misses\": 8174, "
       "\"identical_stats\": \"true\"}");
   CompareOptions opt;
   opt.ignore_keys = {"measured_branches"};
@@ -98,26 +115,11 @@ TEST(CompareBench, IgnoreListSuppressesFatal) {
   EXPECT_TRUE(report.ok());
 }
 
-TEST(CompareBench, IntegralDoubleStaysAdvisory) {
-  // A measurement that happens to land on an integral value is written with
-  // a trailing ".0" (scenario.cc's format_double), so it still classifies
-  // as a throughput field against a fractional counterpart.
-  const std::string old_text =
-      bench_json("quick", "{\"label\": \"r\", \"speedup\": 1.0}");
-  const std::string new_text =
-      bench_json("quick", "{\"label\": \"r\", \"speedup\": 0.5}");
-  CompareReport report;
-  std::string err;
-  ASSERT_TRUE(compare_bench(old_text, new_text, {}, report, err)) << err;
-  EXPECT_TRUE(report.ok());
-  ASSERT_EQ(report.deltas.size(), 1u);
-  EXPECT_NEAR(report.deltas[0].delta_frac, -0.5, 1e-9);
-}
-
 TEST(CompareBench, CounterTypeChangeCannotSmuggleAValueChange) {
   // A counter that starts rendering as a float (writer bug, accidental
-  // .set(key, double)) must not demote the field to advisory: a changed
-  // value is fatal whichever side carries the integer literal.
+  // .set(key, double)) must not hide a value change behind the type
+  // change: a changed value is fatal whichever side carries the integer
+  // literal.
   const std::string old_text =
       bench_json("quick", "{\"label\": \"r\", \"measured_branches\": 6412}");
   const std::string new_text =
@@ -132,16 +134,17 @@ TEST(CompareBench, CounterTypeChangeCannotSmuggleAValueChange) {
 
 TEST(CompareBench, ValuePreservingFormatDriftPasses) {
   // "1" vs "1.0" (an older artifact's integral double vs the current
-  // writer's ".0" form) is formatting drift, not a regression.
-  const std::string old_text =
-      bench_json("quick", "{\"label\": \"r\", \"speedup\": 1, \"n\": 6412}");
-  const std::string new_text =
-      bench_json("quick", "{\"label\": \"r\", \"speedup\": 1.0, \"n\": 6412.0}");
+  // writer's ".0" form), or a float spelled differently with the same
+  // value, is formatting drift, not a regression.
+  const std::string old_text = bench_json(
+      "quick", "{\"label\": \"r\", \"speedup\": 1, \"n\": 6412, \"x\": 0.25}");
+  const std::string new_text = bench_json(
+      "quick", "{\"label\": \"r\", \"speedup\": 1.0, \"n\": 6412.0, \"x\": 2.5e-1}");
   CompareReport report;
   std::string err;
   ASSERT_TRUE(compare_bench(old_text, new_text, {}, report, err)) << err;
   EXPECT_TRUE(report.ok());
-  EXPECT_TRUE(report.deltas.empty());
+  EXPECT_EQ(report.compared_fields, 3u);
 }
 
 TEST(CompareBench, GridDriftIsAdvisory) {
@@ -189,8 +192,8 @@ TEST(CompareBench, ScaleMismatchComparesNothing) {
 TEST(CompareBench, ScenarioMismatchIsAnError) {
   const std::string old_text = bench_json("quick", kBaseRow);
   std::string other = old_text;
-  const auto at = other.find("ooo_engine");
-  other.replace(at, std::string("ooo_engine").size(), "fig4_single");
+  const auto at = other.find("tenant_churn");
+  other.replace(at, std::string("tenant_churn").size(), "fig4_single");
   CompareReport report;
   std::string err;
   EXPECT_FALSE(compare_bench(old_text, other, {}, report, err));

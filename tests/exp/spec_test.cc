@@ -3,9 +3,12 @@
 // and the built-in scenario set the driver exposes.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "exp/driver.h"
 #include "exp/json.h"
 #include "exp/scenario.h"
 #include "exp/spec.h"
@@ -44,8 +47,6 @@ TEST(ExperimentSpec, JsonRoundTrip) {
   spec.monitor.eviction_threshold = 500;
   spec.monitor.tagged_misprediction_threshold = 250;
   spec.arms = {"STBPU", "CIBPU"};
-  spec.cache_stats = true;
-  spec.stall_stats = true;
 
   JsonValue doc;
   std::string err;
@@ -231,16 +232,19 @@ TEST(ExperimentSpec, RejectsMalformedMonitorOverrides) {
 TEST(Registry, BuiltinScenarios) {
   register_builtin_scenarios();
   register_builtin_scenarios();  // idempotent
-  const char* expected[] = {"fig2_remapgen",  "fig3_oae",       "fig4_single",
-                            "fig5_smt",       "fig6_rsweep",    "ablation",
+  const char* expected[] = {"fig2_remapgen",  "fig3_oae",        "fig4_single",
+                            "fig5_smt",       "fig6_rsweep",     "ablation",
                             "sec6_empirical", "sec6_thresholds", "table1_attack_surface",
-                            "table2_remap_functions", "ooo_engine", "mix_batch",
                             "tenant_churn",   "attack_matrix"};
-  EXPECT_EQ(all_scenarios().size(), 14u);
+  EXPECT_EQ(all_scenarios().size(), 11u);
   for (const char* name : expected) {
     EXPECT_NE(find_scenario(name), nullptr) << name;
   }
   EXPECT_EQ(find_scenario("nope"), nullptr);
+  // The wall-clock micro-benchmarks live in perfbench/, not here.
+  for (const char* gone : {"table2_remap_functions", "ooo_engine", "mix_batch"}) {
+    EXPECT_EQ(find_scenario(gone), nullptr) << gone;
+  }
 }
 
 TEST(Registry, GridShapes) {
@@ -249,8 +253,8 @@ TEST(Registry, GridShapes) {
   spec.scenario = "fig5_smt";
   // 31 SMT pairs × 4 direction predictors.
   EXPECT_EQ(find_scenario("fig5_smt")->point_labels(spec).size(), 124u);
-  // 6 throughput combos + 18 workloads × 4 predictors.
-  EXPECT_EQ(find_scenario("fig4_single")->point_labels(spec).size(), 78u);
+  // 18 workloads × 4 predictors.
+  EXPECT_EQ(find_scenario("fig4_single")->point_labels(spec).size(), 72u);
   // A quick-scale fig6: 4 base pairs + 3 defense arms × 6 r values × 4 pairs.
   EXPECT_EQ(find_scenario("fig6_rsweep")->point_labels(spec).size(), 76u);
   // tenant_churn: 1 / 1K / 32K / 1M / 1M-under-eviction-pressure.
@@ -269,7 +273,11 @@ TEST(Json, ParsesAndRejects) {
   const JsonValue* a = v.find("a");
   ASSERT_NE(a, nullptr);
   ASSERT_EQ(a->items().size(), 3u);
-  EXPECT_EQ(a->items()[0].as_u64(), 1u);
+  std::uint64_t first = 0;
+  EXPECT_TRUE(a->items()[0].as_uint(~std::uint64_t{0}, first));
+  EXPECT_EQ(first, 1u);
+  EXPECT_FALSE(a->items()[1].as_uint(~std::uint64_t{0}, first)) << "2.5e3 is not an integer";
+  EXPECT_FALSE(a->items()[2].as_uint(~std::uint64_t{0}, first)) << "strings are not numbers";
   EXPECT_DOUBLE_EQ(a->items()[1].as_double(), 2500.0);
   EXPECT_EQ(a->items()[2].text(), "x\n");
   EXPECT_TRUE(v.find("b")->find("c")->as_bool());
@@ -303,6 +311,141 @@ TEST(Json, QuoteRoundTrip) {
   std::string err;
   ASSERT_TRUE(json_parse(json_quote(nasty), v, err)) << err;
   EXPECT_EQ(v.text(), nasty);
+}
+
+/// from_json over `text`; the error text lands in `err`.
+bool spec_from(const std::string& text, ExperimentSpec& out, std::string& err) {
+  JsonValue doc;
+  if (!json_parse(text, doc, err)) {
+    ADD_FAILURE() << "fixture is not JSON: " << err;
+    return false;
+  }
+  return ExperimentSpec::from_json(doc, out, err);
+}
+
+TEST(ParseUint, RangeCheckedDigitsOnly) {
+  std::uint64_t v = 7;
+  EXPECT_TRUE(parse_uint("0", 0, v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(parse_uint("18446744073709551615", ~std::uint64_t{0}, v));
+  EXPECT_EQ(v, ~std::uint64_t{0});
+  EXPECT_TRUE(parse_uint("4294967295", 4294967295u, v));
+  EXPECT_EQ(v, 4294967295u);
+
+  v = 7;
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "1.5", "1e3", "0x10", "abc"}) {
+    EXPECT_FALSE(parse_uint(bad, ~std::uint64_t{0}, v)) << "'" << bad << "'";
+  }
+  EXPECT_FALSE(parse_uint("18446744073709551616", ~std::uint64_t{0}, v));  // 2^64
+  EXPECT_FALSE(parse_uint("99999999999999999999999", ~std::uint64_t{0}, v));
+  EXPECT_FALSE(parse_uint("4294967296", 4294967295u, v));
+  EXPECT_FALSE(parse_uint("5", 4, v));
+  EXPECT_FALSE(parse_uint("1", 0, v));
+  EXPECT_EQ(v, 7u) << "a rejected parse leaves the output untouched";
+}
+
+TEST(ExperimentSpec, NumericFieldsAreNeverReinterpreted) {
+  ExperimentSpec out;
+  std::string err;
+  // Each case: spec text and the field its error must name.
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"scenario": "x", "points": [1.5]})", "points"},
+      {R"({"scenario": "x", "points": [-1]})", "points"},
+      {R"({"scenario": "x", "points": ["1"]})", "points"},
+      {R"({"scenario": "x", "jobs": 4294967297})", "jobs"},
+      {R"({"scenario": "x", "jobs": 4294967296})", "jobs"},
+      {R"({"scenario": "x", "shard": {"index": 4294967296, "count": 4294967297}})",
+       "shard.index"},
+      {R"({"scenario": "x", "shard": {"index": 0, "count": 4294967296}})", "shard.count"},
+      {R"({"scenario": "x", "seed": 99999999999999999999999})", "seed"},
+      {R"({"scenario": "x", "seed": 18446744073709551616})", "seed"},
+      {R"({"scenario": "x", "scale": {"trace_branches": 1e6}})", "trace_branches"},
+      {R"({"scenario": "x", "monitor": {"eviction_threshold": 1.0}})",
+       "monitor.eviction_threshold"},
+  };
+  for (const auto& [text, field] : cases) {
+    EXPECT_FALSE(spec_from(text, out, err)) << text;
+    EXPECT_NE(err.find(field), std::string::npos) << text << " -> " << err;
+  }
+
+  // The largest value of each width is still accepted.
+  ASSERT_TRUE(spec_from(R"({"scenario": "x", "jobs": 4294967295, "seed": 18446744073709551615,
+                            "shard": {"index": 4294967294, "count": 4294967295},
+                            "points": [18446744073709551615]})",
+                        out, err))
+      << err;
+  EXPECT_EQ(out.jobs, 4294967295u);
+  EXPECT_EQ(out.seed, ~std::uint64_t{0});
+  EXPECT_EQ(out.shard_index, 4294967294u);
+  EXPECT_EQ(out.shard_count, 4294967295u);
+  EXPECT_EQ(out.points, (std::vector<std::size_t>{~std::size_t{0}}));
+}
+
+TEST(ExperimentSpec, RepeatedKeysAreRejected) {
+  ExperimentSpec out;
+  std::string err;
+  EXPECT_FALSE(spec_from(R"({"scenario": "x", "points": [1], "points": [2], "jobs": 1,
+                             "jobs": 3})",
+                         out, err));
+  EXPECT_NE(err.find("'points'"), std::string::npos) << err;
+  EXPECT_FALSE(spec_from(R"({"scenario": "x", "scenario": "y"})", out, err));
+  EXPECT_NE(err.find("'scenario'"), std::string::npos) << err;
+  // Nested objects too: a repeated key in a nested object is an error.
+  EXPECT_FALSE(spec_from(
+      R"({"scenario": "x", "scale": {"trace_branches": 5, "trace_branches": 6}})", out,
+      err));
+  EXPECT_NE(err.find("'trace_branches'"), std::string::npos) << err;
+  EXPECT_FALSE(spec_from(R"({"scenario": "x", "shard": {"index": 0, "count": 2,
+                             "count": 3}})",
+                         out, err));
+  EXPECT_NE(err.find("'count'"), std::string::npos) << err;
+  EXPECT_FALSE(spec_from(
+      R"({"scenario": "x", "monitor": {"eviction_threshold": 5, "eviction_threshold": 6}})",
+      out, err));
+  EXPECT_NE(err.find("'eviction_threshold'"), std::string::npos) << err;
+}
+
+TEST(ParseShard, RejectsValuesBeyond32Bits) {
+  std::uint32_t index = 9, count = 9;
+  std::string err;
+  EXPECT_FALSE(parse_shard("4294967296/4294967297", index, count, err));
+  EXPECT_FALSE(parse_shard("0/4294967296", index, count, err));
+  EXPECT_FALSE(parse_shard("-1/2", index, count, err));
+  EXPECT_FALSE(parse_shard("0/+2", index, count, err));
+  EXPECT_FALSE(parse_shard(" 0/2", index, count, err));
+  ASSERT_TRUE(parse_shard("4294967294/4294967295", index, count, err)) << err;
+  EXPECT_EQ(index, 4294967294u);
+  EXPECT_EQ(count, 4294967295u);
+}
+
+TEST(ParsePoints, RejectsSignsAndStrayText) {
+  std::vector<std::size_t> points;
+  std::string err;
+  for (const char* bad : {"-1", "+1", " 1", "1,", ",1", "1-", "1--3", "1-+3", "1.5",
+                          "18446744073709551616"}) {
+    EXPECT_FALSE(parse_points(bad, points, err)) << "'" << bad << "'";
+  }
+}
+
+/// `stbpu_bench describe fig4_single <flag>`'s exit code: describe parses
+/// the run flags exactly as `run` does but executes nothing.
+int describe_with(const char* flag) {
+  std::string a0 = "stbpu_bench", a1 = "describe", a2 = "fig4_single", a3 = flag;
+  char* argv[] = {a0.data(), a1.data(), a2.data(), a3.data()};
+  return driver_main(4, argv);
+}
+
+TEST(DriverFlags, NumericFlagsAreNeverReinterpreted) {
+  for (const char* bad :
+       {"--jobs=4294967297", "--jobs=-1", "--jobs=1.5", "--seed=99999999999999999999999",
+        "--seed=18446744073709551616", "--trace-branches=-1",
+        "--trace-branches=18446744073709551616", "--shard=4294967296/4294967297",
+        "--shard=0/4294967296", "--points=-1", "--gamma-m=+5"}) {
+    EXPECT_EQ(describe_with(bad), 2) << bad;
+  }
+  EXPECT_EQ(describe_with("--jobs=4294967295"), 0);
+  EXPECT_EQ(describe_with("--seed=18446744073709551615"), 0);
+  EXPECT_EQ(describe_with("--shard=71/72"), 0);
 }
 
 }  // namespace
