@@ -22,6 +22,13 @@
 // against the layered S → P → σ composition and pins mix() and every R
 // function to known-answer rows from the layered rendering.
 //
+// Batched lanes have a second rendering of the same circuit: the AVX-512
+// kernel below (S-boxes as in-register nibble shuffles, eight lanes per
+// vector, each lane with its own key), which Remapper::rt_all uses to
+// compute all of a TAGE access's Rt lanes in one pass. Hosts without
+// AVX-512F/BW run the portable T-table mix_batch<N> instead; both are
+// bit-identical to mix() (tests/core/mix_batch_test.cc).
+//
 // tests/core/remap_test.cc validates the same C2 (uniformity) and C3
 // (avalanche) criteria the generator enforces, over every R function.
 #pragma once
@@ -33,14 +40,16 @@
 #include "bpu/mapping.h"
 #include "util/bits.h"
 
-// The AVX2 rendering of the batched mix kernel: vpshufb IS the hardware
+// The AVX-512 rendering of the batched mix kernel: vpshufb IS the hardware
 // S-box (a 16-entry 4-bit table lookup per byte, in registers, no memory),
-// so a full 64-bit substitution layer is two shuffles + nibble glue across
-// four lanes at once — the software analogue of the paper's parallel S-box
-// rows. Functions carry the target("avx2") attribute and are dispatched at
-// runtime, so the binary stays baseline-x86-64 portable.
+// so a full 64-bit substitution layer is two shuffles + nibble glue over
+// eight lanes at once — the software analogue of the paper's parallel S-box
+// rows. vprolq renders the rotations and vpternlogq every 3-input XOR (σ,
+// the key/`hi` injections, the delta swaps' exchange step). Functions carry
+// the target("avx512f,avx512bw") attribute and are dispatched at runtime,
+// so the binary stays baseline-x86-64 portable.
 #if defined(__x86_64__) && defined(__GNUC__)
-#define STBPU_MIX_AVX2 1
+#define STBPU_MIX_AVX512 1
 #include <immintrin.h>
 #endif
 
@@ -157,13 +166,18 @@ constexpr std::uint64_t table_round(const RoundTable& t, std::uint64_t x) noexce
           (t[6][(x >> 48) & 0xFF] ^ t[7][x >> 56]));
 }
 
+/// ψ spread over both halves of the 64-bit key, XORed with a round tweak:
+/// the key every mix kernel starts from.
+constexpr std::uint64_t mix_key(std::uint32_t psi, std::uint64_t tweak) noexcept {
+  return (static_cast<std::uint64_t>(psi) << 32 | psi) ^ tweak;
+}
+
 /// Core keyed compression: up to 128 input bits (ψ-spread ⊕ tweak as the
 /// round keys, `lo`/`hi` as data) → 64 mixed bits. Three S/P/σ rounds — the
 /// depth Figure 2's winning R1 circuit has — each one table_round.
 constexpr std::uint64_t mix(std::uint64_t lo, std::uint64_t hi, std::uint32_t psi,
                             std::uint64_t tweak) noexcept {
-  const std::uint64_t k =
-      (static_cast<std::uint64_t>(psi) << 32 | psi) ^ tweak;
+  const std::uint64_t k = mix_key(psi, tweak);
   std::uint64_t x = lo ^ util::rotl64(hi, 21) ^ k;
   x = table_round(kMixRound1, x);
   x ^= util::rotl64(hi, 47) ^ util::rotl64(k, 13);
@@ -186,8 +200,7 @@ inline void mix_batch(const std::uint64_t* lo, const std::uint64_t* hi,
                       std::uint32_t psi, std::uint64_t tweak,
                       std::uint64_t* out) noexcept {
   static_assert(N >= 1 && N <= 16, "lane count outside the profitable range");
-  const std::uint64_t k =
-      (static_cast<std::uint64_t>(psi) << 32 | psi) ^ tweak;
+  const std::uint64_t k = mix_key(psi, tweak);
   const std::uint64_t k13 = util::rotl64(k, 13);
   const std::uint64_t k37 = util::rotl64(k, 37);
   std::uint64_t x[N];
@@ -199,132 +212,211 @@ inline void mix_batch(const std::uint64_t* lo, const std::uint64_t* hi,
   for (unsigned i = 0; i < N; ++i) out[i] = table_round(kMixRound3, x[i]);
 }
 
-#if STBPU_MIX_AVX2
+#if STBPU_MIX_AVX512
 
-/// True once at startup when the host executes AVX2 (the binary itself is
-/// compiled for baseline x86-64; only these attributed functions use it).
-[[nodiscard]] inline bool mix_avx2_available() noexcept {
-  static const bool ok = __builtin_cpu_supports("avx2");
+#define STBPU_AVX512 __attribute__((target("avx512f,avx512bw")))
+
+/// True once at startup when the host executes AVX-512F and AVX-512BW (the
+/// binary itself is compiled for baseline x86-64; only the attributed
+/// functions below use them).
+[[nodiscard]] inline bool mix_avx512_available() noexcept {
+  static const bool ok =
+      __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw");
   return ok;
 }
 
-namespace avx2 {
+namespace avx512 {
 
-/// One substitution layer over four 64-bit lanes: the 4-bit S-box lives in
+/// vpternlogq truth tables: f(a, b, c) is bit (a << 2 | b << 1 | c) of
+/// the immediate.
+inline constexpr int kXor3 = 0x96;       ///< a ^ b ^ c
+inline constexpr int kXorAndMask = 0x28; ///< (a ^ b) & c
+
+STBPU_AVX512 inline __m512i xor3(__m512i a, __m512i b, __m512i c) noexcept {
+  return _mm512_ternarylogic_epi64(a, b, c, kXor3);
+}
+
+/// Shifts and rotations take their counts as template arguments: the
+/// instructions encode them as immediates, which unoptimized builds only
+/// see through a constant expression. They use the zero-masking forms
+/// under a full mask, which compile to the plain instructions; GCC 12's
+/// unmasked forms merge into a deliberately uninitialized vector and trip
+/// -Wuninitialized once inlined.
+inline constexpr __mmask8 kAll = 0xFF;
+
+template <unsigned S>
+STBPU_AVX512 inline __m512i shl(__m512i x) noexcept {
+  return _mm512_maskz_slli_epi64(kAll, x, S);
+}
+template <unsigned S>
+STBPU_AVX512 inline __m512i shr(__m512i x) noexcept {
+  return _mm512_maskz_srli_epi64(kAll, x, S);
+}
+template <unsigned S>
+STBPU_AVX512 inline __m512i rotl(__m512i x) noexcept {
+  return _mm512_maskz_rol_epi64(kAll, x, S);
+}
+
+/// A 16-byte S-box broadcast to every 128-bit lane (vpshufb's table).
+STBPU_AVX512 inline __m512i sbox_table(const std::array<std::uint8_t, 16>& s) noexcept {
+  return _mm512_maskz_broadcast_i32x4(
+      0xFFFF, _mm_loadu_si128(reinterpret_cast<const __m128i*>(s.data())));
+}
+
+/// One substitution layer over eight 64-bit lanes: the 4-bit S-box lives in
 /// a register (16 bytes, broadcast per 128-bit lane) and vpshufb applies it
 /// to all 16 nibbles of every lane simultaneously — zero table loads.
-__attribute__((target("avx2"))) inline __m256i sbox_layer(__m256i x,
-                                                          __m256i tbl) noexcept {
-  const __m256i nib = _mm256_set1_epi8(0x0F);
-  const __m256i lo = _mm256_and_si256(x, nib);
-  const __m256i hi = _mm256_and_si256(_mm256_srli_epi64(x, 4), nib);
+STBPU_AVX512 inline __m512i sbox_layer(__m512i x, __m512i tbl) noexcept {
+  const __m512i nib = _mm512_set1_epi8(0x0F);
+  const __m512i lo = _mm512_and_si512(x, nib);
+  const __m512i hi = _mm512_and_si512(shr<4>(x), nib);
   // S[hi] bytes are <= 0x0F, so the 64-bit left shift cannot carry bits
   // across byte boundaries — no extra mask needed.
-  return _mm256_or_si256(_mm256_shuffle_epi8(tbl, lo),
-                         _mm256_slli_epi64(_mm256_shuffle_epi8(tbl, hi), 4));
+  return _mm512_or_si512(_mm512_shuffle_epi8(tbl, lo),
+                         shl<4>(_mm512_shuffle_epi8(tbl, hi)));
 }
 
-__attribute__((target("avx2"))) inline __m256i rotl64(__m256i x,
-                                                      unsigned s) noexcept {
-  return _mm256_or_si256(_mm256_slli_epi64(x, static_cast<int>(s)),
-                         _mm256_srli_epi64(x, static_cast<int>(64 - s)));
+template <std::uint64_t M, unsigned S>
+STBPU_AVX512 inline __m512i delta_swap(__m512i x) noexcept {
+  const __m512i t = _mm512_ternarylogic_epi64(
+      shr<S>(x), x, _mm512_set1_epi64(static_cast<long long>(M)), kXorAndMask);
+  return xor3(x, t, shl<S>(t));
 }
 
-__attribute__((target("avx2"))) inline __m256i delta_swap(__m256i x, std::uint64_t m,
-                                                          unsigned s) noexcept {
-  const __m256i mask = _mm256_set1_epi64x(static_cast<long long>(m));
-  const __m256i t = _mm256_and_si256(
-      _mm256_xor_si256(_mm256_srli_epi64(x, static_cast<int>(s)), x), mask);
-  return _mm256_xor_si256(_mm256_xor_si256(x, t),
-                          _mm256_slli_epi64(t, static_cast<int>(s)));
+STBPU_AVX512 inline __m512i pbox_a(__m512i x) noexcept {
+  x = delta_swap<0x00000000FFFF0000ULL, 32>(x);
+  x = delta_swap<0x0000FF000000FF00ULL, 8>(x);
+  x = delta_swap<0x00F000F000F000F0ULL, 4>(x);
+  return rotl<29>(x);
 }
 
-__attribute__((target("avx2"))) inline __m256i pbox_a(__m256i x) noexcept {
-  x = delta_swap(x, 0x00000000FFFF0000ULL, 32);
-  x = delta_swap(x, 0x0000FF000000FF00ULL, 8);
-  x = delta_swap(x, 0x00F000F000F000F0ULL, 4);
-  return rotl64(x, 29);
+STBPU_AVX512 inline __m512i pbox_b(__m512i x) noexcept {
+  x = delta_swap<0x00000000F0F0F0F0ULL, 28>(x);
+  x = delta_swap<0x0000CCCC0000CCCCULL, 14>(x);
+  x = delta_swap<0x0A0A0A0A0A0A0A0AULL, 3>(x);
+  return rotl<17>(x);
 }
 
-__attribute__((target("avx2"))) inline __m256i pbox_b(__m256i x) noexcept {
-  x = delta_swap(x, 0x00000000F0F0F0F0ULL, 28);
-  x = delta_swap(x, 0x0000CCCC0000CCCCULL, 14);
-  x = delta_swap(x, 0x0A0A0A0A0A0A0A0AULL, 3);
-  return rotl64(x, 17);
+template <unsigned A, unsigned B>
+STBPU_AVX512 inline __m512i sigma(__m512i x) noexcept {
+  return xor3(x, rotl<A>(x), rotl<B>(x));
 }
 
-__attribute__((target("avx2"))) inline __m256i sigma(__m256i x, unsigned a,
-                                                     unsigned b) noexcept {
-  return _mm256_xor_si256(_mm256_xor_si256(x, rotl64(x, a)), rotl64(x, b));
+/// V vectors of eight lanes through the whole S/P/σ circuit, walked stage
+/// by stage (all vectors per stage, for cross-vector ILP), mirroring scalar
+/// mix() statement for statement. Each lane carries its own key k (ψ
+/// spread ⊕ that lane's tweak), so one pass can serve several R functions.
+/// `x` holds `lo` on entry and the mix on return.
+template <unsigned V>
+STBPU_AVX512 inline void mix_vectors(__m512i (&x)[V], const __m512i (&h)[V],
+                                     const __m512i (&k)[V]) noexcept {
+  const __m512i present = sbox_table(kPresentSbox);
+  const __m512i spongent = sbox_table(kSpongentSbox);
+  for (unsigned v = 0; v < V; ++v) x[v] = xor3(x[v], rotl<21>(h[v]), k[v]);
+  for (unsigned v = 0; v < V; ++v) x[v] = sbox_layer(x[v], present);
+  for (unsigned v = 0; v < V; ++v) x[v] = sigma<19, 43>(pbox_a(x[v]));
+  for (unsigned v = 0; v < V; ++v) x[v] = xor3(x[v], rotl<47>(h[v]), rotl<13>(k[v]));
+  for (unsigned v = 0; v < V; ++v) x[v] = sbox_layer(x[v], spongent);
+  for (unsigned v = 0; v < V; ++v) x[v] = sigma<11, 50>(pbox_b(x[v]));
+  for (unsigned v = 0; v < V; ++v) x[v] = _mm512_xor_si512(x[v], rotl<37>(k[v]));
+  for (unsigned v = 0; v < V; ++v) x[v] = sbox_layer(x[v], present);
+  for (unsigned v = 0; v < V; ++v) x[v] = sigma<29, 39>(x[v]);
+  for (unsigned v = 0; v < V; ++v) {
+    x[v] = _mm512_xor_si512(x[v], shr<31>(x[v]));
+  }
 }
 
-}  // namespace avx2
+/// Lanes [lane0, lane0 + 8) that fall below `bound`, as a load/store mask.
+inline __mmask8 lanes_below(unsigned bound, unsigned lane0) noexcept {
+  return bound <= lane0 ? 0 : bound - lane0 >= 8 ? 0xFF : (1u << (bound - lane0)) - 1;
+}
 
-/// AVX2 mix_batch: N/4 vectors of four 64-bit lanes walked stage by stage
-/// (all vectors per stage, for cross-vector ILP), mirroring scalar mix()
-/// statement for statement — bit-identical by construction and asserted by
-/// tests/core/mix_batch_test.cc through the dispatch entry point.
+/// mix_batch<N> on the AVX-512 kernel: N lanes under one key, as whole
+/// vectors whose tail lanes are masked off on load and store.
 template <unsigned N>
-__attribute__((target("avx2"))) inline void mix_batch_avx2(
-    const std::uint64_t* lo, const std::uint64_t* hi, std::uint32_t psi,
-    std::uint64_t tweak, std::uint64_t* out) noexcept {
-  static_assert(N % 4 == 0 && N >= 4 && N <= 16);
-  constexpr unsigned V = N / 4;
-  const std::uint64_t k64 =
-      (static_cast<std::uint64_t>(psi) << 32 | psi) ^ tweak;
-  const __m256i k = _mm256_set1_epi64x(static_cast<long long>(k64));
-  const __m256i k13 = avx2::rotl64(k, 13);
-  const __m256i k37 = avx2::rotl64(k, 37);
-  const __m256i present = _mm256_broadcastsi128_si256(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(detail::kPresentSbox.data())));
-  const __m256i spongent = _mm256_broadcastsi128_si256(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(detail::kSpongentSbox.data())));
-
-  __m256i x[V], h[V];
+STBPU_AVX512 inline void mix_batch(const std::uint64_t* lo, const std::uint64_t* hi,
+                                   std::uint32_t psi, std::uint64_t tweak,
+                                   std::uint64_t* out) noexcept {
+  constexpr unsigned V = (N + 7) / 8;
+  __m512i x[V], h[V], k[V];
   for (unsigned v = 0; v < V; ++v) {
-    h[v] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(hi + 4 * v));
-    x[v] = _mm256_xor_si256(
-        _mm256_xor_si256(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(lo + 4 * v)),
-            avx2::rotl64(h[v], 21)),
-        k);
+    x[v] = _mm512_maskz_loadu_epi64(lanes_below(N, 8 * v), lo + 8 * v);
+    h[v] = _mm512_maskz_loadu_epi64(lanes_below(N, 8 * v), hi + 8 * v);
+    k[v] = _mm512_set1_epi64(static_cast<long long>(mix_key(psi, tweak)));
   }
-  for (unsigned v = 0; v < V; ++v) x[v] = avx2::sbox_layer(x[v], present);
-  for (unsigned v = 0; v < V; ++v) x[v] = avx2::sigma(avx2::pbox_a(x[v]), 19, 43);
+  mix_vectors<V>(x, h, k);
   for (unsigned v = 0; v < V; ++v) {
-    x[v] = _mm256_xor_si256(x[v], _mm256_xor_si256(avx2::rotl64(h[v], 47), k13));
-  }
-  for (unsigned v = 0; v < V; ++v) x[v] = avx2::sbox_layer(x[v], spongent);
-  for (unsigned v = 0; v < V; ++v) x[v] = avx2::sigma(avx2::pbox_b(x[v]), 11, 50);
-  for (unsigned v = 0; v < V; ++v) x[v] = _mm256_xor_si256(x[v], k37);
-  for (unsigned v = 0; v < V; ++v) x[v] = avx2::sbox_layer(x[v], present);
-  for (unsigned v = 0; v < V; ++v) x[v] = avx2::sigma(x[v], 29, 39);
-  for (unsigned v = 0; v < V; ++v) {
-    x[v] = _mm256_xor_si256(x[v], _mm256_srli_epi64(x[v], 31));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 4 * v), x[v]);
+    _mm512_mask_storeu_epi64(out + 8 * v, lanes_below(N, 8 * v), x[v]);
   }
 }
 
-#else  // !STBPU_MIX_AVX2
+/// Up to four vectors of Rt lanes starting at lane `first`: lanes below
+/// `n_index` are keyed `k_index`, the rest `k_tag`; lanes at or past
+/// `lanes` read zero inputs (masked loads) and their outputs are dropped
+/// by the caller.
+template <unsigned V>
+STBPU_AVX512 inline void rt_chunk(std::uint64_t lo, const std::uint64_t* hi,
+                                  unsigned first, unsigned n_index, unsigned lanes,
+                                  std::uint64_t k_index, std::uint64_t k_tag,
+                                  std::uint64_t* out) noexcept {
+  const __m512i ki = _mm512_set1_epi64(static_cast<long long>(k_index));
+  const __m512i kt = _mm512_set1_epi64(static_cast<long long>(k_tag));
+  __m512i x[V], h[V], k[V];
+  for (unsigned v = 0; v < V; ++v) {
+    const unsigned lane0 = first + 8 * v;
+    x[v] = _mm512_set1_epi64(static_cast<long long>(lo));
+    h[v] = _mm512_maskz_loadu_epi64(lanes_below(lanes, lane0), hi + lane0);
+    k[v] = _mm512_mask_blend_epi64(lanes_below(n_index, lane0), kt, ki);
+  }
+  mix_vectors<V>(x, h, k);
+  for (unsigned v = 0; v < V; ++v) _mm512_storeu_si512(out + first + 8 * v, x[v]);
+}
 
-[[nodiscard]] inline bool mix_avx2_available() noexcept { return false; }
+/// The fused Rt pass: `lanes` lanes of one (ψ-spread, `lo`) input, lanes
+/// [0, n_index) under `k_index` and the rest under `k_tag`, written to
+/// out[0, lanes rounded up to a whole vector).
+STBPU_AVX512 inline void rt_lanes(std::uint64_t lo, const std::uint64_t* hi,
+                                  unsigned n_index, unsigned lanes, std::uint64_t k_index,
+                                  std::uint64_t k_tag, std::uint64_t* out) noexcept {
+  const unsigned vectors = (lanes + 7) / 8;
+  for (unsigned v = 0; v < vectors; v += 4) {
+    const unsigned first = 8 * v;
+    switch (std::min(4u, vectors - v)) {
+      case 1:
+        rt_chunk<1>(lo, hi, first, n_index, lanes, k_index, k_tag, out);
+        break;
+      case 2:
+        rt_chunk<2>(lo, hi, first, n_index, lanes, k_index, k_tag, out);
+        break;
+      case 3:
+        rt_chunk<3>(lo, hi, first, n_index, lanes, k_index, k_tag, out);
+        break;
+      default:
+        rt_chunk<4>(lo, hi, first, n_index, lanes, k_index, k_tag, out);
+        break;
+    }
+  }
+}
 
-#endif  // STBPU_MIX_AVX2
+}  // namespace avx512
 
-/// Production batched-mix entry point: the AVX2 nibble-shuffle kernel when
-/// the host executes it (and the lane count is vectorizable), else the
-/// portable T-table lane kernel. Bit-identical either way; the remap
-/// cache's compacted miss lists go through here.
+#else  // !STBPU_MIX_AVX512
+
+[[nodiscard]] inline bool mix_avx512_available() noexcept { return false; }
+
+#endif  // STBPU_MIX_AVX512
+
+/// Production batched-mix entry point: the AVX-512 kernel when the host
+/// executes it, else the portable T-table lane kernel. Bit-identical either
+/// way (tests/core/mix_batch_test.cc).
 template <unsigned N>
 inline void mix_batch_dispatch(const std::uint64_t* lo, const std::uint64_t* hi,
                                std::uint32_t psi, std::uint64_t tweak,
                                std::uint64_t* out) noexcept {
-#if STBPU_MIX_AVX2
-  if constexpr (N % 4 == 0) {
-    if (mix_avx2_available()) {
-      mix_batch_avx2<N>(lo, hi, psi, tweak, out);
-      return;
-    }
+#if STBPU_MIX_AVX512
+  if (mix_avx512_available()) {
+    avx512::mix_batch<N>(lo, hi, psi, tweak, out);
+    return;
   }
 #endif
   mix_batch<N>(lo, hi, psi, tweak, out);
@@ -427,47 +519,57 @@ class Remapper {
     return rt_tag_from_mix(m, tag_bits);
   }
 
-  /// Lane capacity of one rt_all kernel call (index or tag side).
-  static constexpr unsigned kRtLanes = 16;
+  /// Most tagged tables rt_all serves (TagePredictorT enforces the bound).
+  static constexpr unsigned kMaxRtTables = 32;
+  /// Lane capacity of the fused Rt pass: an index and a tag lane per table
+  /// plus the loop-tag lane, rounded up to whole eight-lane vectors.
+  static constexpr unsigned kRtLanes = (2 * kMaxRtTables + 1 + 7) / 8 * 8;
 
   /// Every tagged table's Rt index and tag for one TAGE access: table t
   /// keys its index on `index_keys[t]` and its tag on `tag_keys[t]`, so
   /// idx_out[t] == rt_index(psi, ip, index_keys[t], t, index_bits) and
   /// tag_out[t] == rt_tag(psi, ip, tag_keys[t], t, tag_bits). A non-null
   /// `loop_tag_out` also receives the loop predictor's tag, rt_tag(psi, ip,
-  /// 0, bpu::kTageLoopTagTable, bpu::kTageLoopTagBits): it shares the Rt tag
-  /// tweak, so it rides in the spare tag lane after the last table. Two
-  /// batched mixes (index lanes, tag lanes), each padded up to a multiple
-  /// of four lanes so the AVX2 kernel takes it; configurations with more
-  /// than kRtLanes - 1 tables fall back to per-table mixes.
-  /// `UseAvx2 = false` pins the portable T-table kernel (tests compare
-  /// both renderings against the scalar functions).
-  template <bool UseAvx2 = true>
+  /// 0, bpu::kTageLoopTagTable, bpu::kTageLoopTagBits).
+  ///
+  /// One fused pass computes every lane: n index lanes, n tag lanes and
+  /// the loop-tag lane, each with its own tweak. The AVX-512 kernel runs
+  /// them as ⌈lanes/8⌉ eight-lane vectors (2 for the 8KB predictor, 3 for
+  /// the 64KB one); hosts without AVX-512F/BW run the portable T-table
+  /// mix_batch<N> (up to 16 lanes a call) over the index lanes and then
+  /// the tag lanes.
+  /// `UseAvx512 = false` pins the portable kernel (tests compare both
+  /// renderings against the scalar functions). Requires n <= kMaxRtTables.
+  template <bool UseAvx512 = true>
   static void rt_all(std::uint32_t psi, std::uint64_t ip, const std::uint64_t* index_keys,
                      const std::uint64_t* tag_keys, unsigned n, unsigned index_bits,
                      unsigned tag_bits, std::uint32_t* idx_out, std::uint32_t* tag_out,
                      std::uint32_t* loop_tag_out) noexcept {
-    if (n >= kRtLanes) {
-      for (unsigned t = 0; t < n; ++t) {
-        idx_out[t] = rt_index(psi, ip, index_keys[t], t, index_bits);
-        tag_out[t] = rt_tag(psi, ip, tag_keys[t], t, tag_bits);
-      }
-      if (loop_tag_out != nullptr) {
-        *loop_tag_out = rt_tag(psi, ip, 0, bpu::kTageLoopTagTable, bpu::kTageLoopTagBits);
-      }
-      return;
+    const unsigned lanes = 2 * n + (loop_tag_out != nullptr ? 1 : 0);
+    alignas(64) std::uint64_t hi[kRtLanes], m[kRtLanes];
+    for (unsigned t = 0; t < n; ++t) {
+      const std::uint64_t table = std::uint64_t{t} << 58;
+      hi[t] = index_keys[t] ^ table;
+      hi[n + t] = tag_keys[t] ^ table;
     }
-    std::uint64_t lo[kRtLanes], hi[kRtLanes] = {}, m[kRtLanes];
-    std::fill_n(lo, kRtLanes, ip & bpu::kVirtualAddressMask);
-    for (unsigned t = 0; t < n; ++t) hi[t] = index_keys[t] ^ (std::uint64_t{t} << 58);
-    mix_rt_lanes<UseAvx2>(lo, hi, n, psi, kTweakRtIndex, m);
-    for (unsigned t = 0; t < n; ++t) idx_out[t] = rt_index_from_mix(m[t], index_bits);
-
-    for (unsigned t = 0; t < n; ++t) hi[t] = tag_keys[t] ^ (std::uint64_t{t} << 58);
-    hi[n] = std::uint64_t{bpu::kTageLoopTagTable} << 58;
-    mix_rt_lanes<UseAvx2>(lo, hi, loop_tag_out != nullptr ? n + 1 : n, psi, kTweakRtTag, m);
-    for (unsigned t = 0; t < n; ++t) tag_out[t] = rt_tag_from_mix(m[t], tag_bits);
-    if (loop_tag_out != nullptr) *loop_tag_out = rt_tag_from_mix(m[n], bpu::kTageLoopTagBits);
+    if (loop_tag_out != nullptr) hi[2 * n] = std::uint64_t{bpu::kTageLoopTagTable} << 58;
+    const std::uint64_t lo = ip & bpu::kVirtualAddressMask;
+#if STBPU_MIX_AVX512
+    if (UseAvx512 && detail::mix_avx512_available()) {
+      detail::avx512::rt_lanes(lo, hi, n, lanes, detail::mix_key(psi, kTweakRtIndex),
+                               detail::mix_key(psi, kTweakRtTag), m);
+    } else
+#endif
+    {
+      rt_lanes_portable(lo, hi, n, lanes, psi, m);
+    }
+    for (unsigned t = 0; t < n; ++t) {
+      idx_out[t] = rt_index_from_mix(m[t], index_bits);
+      tag_out[t] = rt_tag_from_mix(m[n + t], tag_bits);
+    }
+    if (loop_tag_out != nullptr) {
+      *loop_tag_out = rt_tag_from_mix(m[2 * n], bpu::kTageLoopTagBits);
+    }
   }
 
   /// Rp(80 ↦ 10): ψ + 48-bit address → perceptron row.
@@ -495,31 +597,38 @@ class Remapper {
   }
 
  private:
-  /// One batched mix over the first `n` <= kRtLanes lanes, rounded up to
-  /// the next multiple of four (the padding lanes are computed and ignored).
-  template <bool UseAvx2>
-  static void mix_rt_lanes(const std::uint64_t* lo, const std::uint64_t* hi, unsigned n,
+  /// rt_all's portable kernel: mix_batch over the index lanes under the
+  /// index tweak, then over the tag lanes under the tag tweak.
+  static void rt_lanes_portable(std::uint64_t lo, std::uint64_t* hi, unsigned n,
+                                unsigned lanes, std::uint32_t psi,
+                                std::uint64_t* out) noexcept {
+    std::fill(hi + lanes, hi + kRtLanes, 0);
+    std::uint64_t l[16];
+    std::fill_n(l, 16, lo);
+    mix_portable(l, hi, n, psi, kTweakRtIndex, out);
+    mix_portable(l, hi + n, lanes - n, psi, kTweakRtTag, out + n);
+  }
+  /// mix_batch over `count` lanes under one tweak, in chunks of at most 16
+  /// lanes, each rounded up to a multiple of four (the padding lanes run
+  /// zero inputs and are overwritten or dropped).
+  static void mix_portable(const std::uint64_t* lo, const std::uint64_t* hi, unsigned count,
                            std::uint32_t psi, std::uint64_t tweak,
                            std::uint64_t* out) noexcept {
-    switch ((n + 3) / 4) {
-      case 0:
-      case 1:
-        return mix_lanes<4, UseAvx2>(lo, hi, psi, tweak, out);
-      case 2:
-        return mix_lanes<8, UseAvx2>(lo, hi, psi, tweak, out);
-      case 3:
-        return mix_lanes<12, UseAvx2>(lo, hi, psi, tweak, out);
-      default:
-        return mix_lanes<16, UseAvx2>(lo, hi, psi, tweak, out);
-    }
-  }
-  template <unsigned N, bool UseAvx2>
-  static void mix_lanes(const std::uint64_t* lo, const std::uint64_t* hi, std::uint32_t psi,
-                        std::uint64_t tweak, std::uint64_t* out) noexcept {
-    if constexpr (UseAvx2) {
-      detail::mix_batch_dispatch<N>(lo, hi, psi, tweak, out);
-    } else {
-      detail::mix_batch<N>(lo, hi, psi, tweak, out);
+    for (unsigned s = 0; s < count; s += 16) {
+      switch ((std::min(count - s, 16u) + 3) / 4) {
+        case 1:
+          detail::mix_batch<4>(lo, hi + s, psi, tweak, out + s);
+          break;
+        case 2:
+          detail::mix_batch<8>(lo, hi + s, psi, tweak, out + s);
+          break;
+        case 3:
+          detail::mix_batch<12>(lo, hi + s, psi, tweak, out + s);
+          break;
+        default:
+          detail::mix_batch<16>(lo, hi + s, psi, tweak, out + s);
+          break;
+      }
     }
   }
 };

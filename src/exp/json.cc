@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <unordered_set>
 
 namespace stbpu::exp {
 
@@ -45,8 +46,6 @@ double JsonValue::as_double() const { return std::strtod(text_.c_str(), nullptr)
 bool JsonValue::as_uint(std::uint64_t max, std::uint64_t& out) const {
   return is_number() && parse_uint(text_, max, out);
 }
-
-long JsonValue::as_long() const { return std::strtol(text_.c_str(), nullptr, 10); }
 
 const JsonValue* JsonValue::find(const std::string& key) const {
   for (const auto& [k, v] : members_) {
@@ -234,11 +233,21 @@ class JsonParser {
           ++pos_;
           return true;
         }
+        std::unordered_set<std::string> seen;
         while (true) {
           skip_ws();
           if (at_end() || peek() != '"') return fail("expected object key");
+          const std::size_t key_at = pos_;
           std::string key;
           if (!string_body(key)) return false;
+          // A repeated key would be read by first match (find) and the
+          // rest silently ignored; spec, shard and frame readers all rely
+          // on each key meaning one thing. A set keeps hostile inputs with
+          // many keys from making the check quadratic.
+          if (!seen.insert(key).second) {
+            err_ = "repeated object key '" + key + "' at offset " + std::to_string(key_at);
+            return false;
+          }
           skip_ws();
           if (at_end() || peek() != ':') return fail("expected ':'");
           ++pos_;

@@ -48,7 +48,6 @@ class JsonValue {
   /// Numeric literal through parse_uint; false for non-numbers and for
   /// anything parse_uint rejects.
   [[nodiscard]] bool as_uint(std::uint64_t max, std::uint64_t& out) const;
-  [[nodiscard]] long as_long() const;
 
   /// Byte offset of this value's first character in the parsed text (0 for
   /// values not produced by json_parse). Error messages that point at a
@@ -74,7 +73,7 @@ class JsonValue {
 };
 
 /// Parse `text`; returns false (with a position-annotated message in `err`)
-/// on malformed input.
+/// on malformed input, including an object that repeats a key.
 bool json_parse(const std::string& text, JsonValue& out, std::string& err);
 
 }  // namespace stbpu::exp

@@ -194,11 +194,20 @@ bool parse_shard_field(const JsonValue& v, Field& out, std::string& err) {
     }
     out.value = Value(u);
   } else if (tag == "i") {
-    if (!val.is_number()) {
-      err = "shard field '" + out.key + "': expected integer value";
+    // A decimal integer within int's range, never truncated into one.
+    const std::string& text = val.text();
+    const bool negative = val.is_number() && !text.empty() && text[0] == '-';
+    constexpr std::uint64_t kIntMax = std::numeric_limits<int>::max();
+    std::uint64_t magnitude = 0;
+    if (!val.is_number() ||
+        !parse_uint(std::string_view(text).substr(negative ? 1 : 0),
+                    negative ? kIntMax + 1 : kIntMax, magnitude)) {
+      err = "shard field '" + out.key + "': expected an integer in int range, got " +
+            (val.is_number() ? text : std::string("a non-number"));
       return false;
     }
-    out.value = Value(static_cast<int>(val.as_long()));
+    out.value = Value(static_cast<int>(negative ? -static_cast<std::int64_t>(magnitude)
+                                                : static_cast<std::int64_t>(magnitude)));
   } else {
     err = "shard field '" + out.key + "': unknown type tag '" + tag + "'";
     return false;

@@ -128,21 +128,6 @@ bool want_uint(const JsonValue& v, T& out, const std::string& key, std::string& 
   return true;
 }
 
-/// json_parse keeps every member of an object, so a repeated key would
-/// otherwise apply twice (list fields append, scalars take the last).
-bool unique_keys(const JsonValue& obj, const char* where, std::string& err) {
-  const auto& m = obj.members();
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    for (std::size_t j = 0; j < i; ++j) {
-      if (m[j].first == m[i].first) {
-        err = std::string("repeated key '") + m[i].first + "' in " + where;
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 bool want_positive_double(const JsonValue& v, double& out, const char* key,
                           std::string& err) {
   if (!v.is_number()) {
@@ -166,7 +151,6 @@ bool ExperimentSpec::from_json(const JsonValue& v, ExperimentSpec& out, std::str
     err = "spec must be a JSON object";
     return false;
   }
-  if (!unique_keys(v, "spec", err)) return false;
   for (const auto& [key, val] : v.members()) {
     if (key == "scenario") {
       if (!val.is_string()) {
@@ -179,7 +163,6 @@ bool ExperimentSpec::from_json(const JsonValue& v, ExperimentSpec& out, std::str
         err = "'scale' must be an object";
         return false;
       }
-      if (!unique_keys(val, "'scale'", err)) return false;
       // The name seeds the preset; explicit budget fields override it.
       if (const JsonValue* name = val.find("name")) {
         const auto preset = Scale::named(name->text());
@@ -209,7 +192,6 @@ bool ExperimentSpec::from_json(const JsonValue& v, ExperimentSpec& out, std::str
         err = "'shard' must be an object";
         return false;
       }
-      if (!unique_keys(val, "'shard'", err)) return false;
       std::uint32_t index = 0, count = 1;
       if (const JsonValue* i = val.find("index")) {
         if (!want_uint(*i, index, "shard.index", err)) return false;
@@ -264,7 +246,6 @@ bool ExperimentSpec::from_json(const JsonValue& v, ExperimentSpec& out, std::str
         err = "'monitor' must be an object";
         return false;
       }
-      if (!unique_keys(val, "'monitor'", err)) return false;
       for (const auto& [mk, mv] : val.members()) {
         if (mk == "difficulty_r") {
           if (!want_positive_double(mv, out.monitor.difficulty_r, "monitor.difficulty_r",

@@ -86,9 +86,10 @@ struct ExperimentSpec {
   /// Serialize (without shard fields when `with_shard` is false, so the
   /// merged output of a sharded sweep matches an unsharded run exactly).
   [[nodiscard]] std::string to_json(bool with_shard = true) const;
-  /// Parse from a JSON object. Unknown keys, repeated keys and integers
-  /// outside their field's range are errors naming the field (declarative
-  /// specs should never silently drop or reinterpret a directive).
+  /// Parse from a JSON object. Unknown keys and integers outside their
+  /// field's range are errors naming the field (declarative specs should
+  /// never silently drop or reinterpret a directive); json_parse has
+  /// already rejected repeated keys.
   static bool from_json(const JsonValue& v, ExperimentSpec& out, std::string& err);
 
   friend bool operator==(const ExperimentSpec&, const ExperimentSpec&) = default;

@@ -12,17 +12,25 @@
 //
 // Template over the mapping: every per-table Rt index/tag computation
 // inlines into the table walk — the per-branch hot loop that dominates
-// TAGE simulation cost. Mappings with
-// the bpu::RtBatch capability compute all tables' Rt outputs (and the loop
-// tag) in one batched call per prediction instead.
+// TAGE simulation cost. Mappings with the bpu::RtBatch capability compute
+// all tables' Rt outputs (and the loop tag) in one fused call per
+// prediction instead (core::Remapper::rt_all).
+//
+// The tagged tables are one flat array of packed 32-bit entries (16-bit
+// tag, 3-bit counter biased by 4, 2-bit useful counter, valid bit), so a
+// prediction loads every table's entry, builds a match mask with one
+// compare per table and takes the provider and alternate as the mask's two
+// highest set bits — no data-dependent branch in the walk.
 #pragma once
 
 #include <algorithm>
 #include <array>
-#include <cassert>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -37,9 +45,9 @@ namespace stbpu::tage {
 
 struct TageConfig {
   std::string_view name = "TAGE_SC_L_64KB";
-  unsigned num_tables = 10;    ///< tagged tables
+  unsigned num_tables = 10;    ///< tagged tables, 1..32
   unsigned index_bits = 13;    ///< per-table entries = 2^index_bits
-  unsigned tag_bits = 12;
+  unsigned tag_bits = 12;      ///< at most 16 (the packed entry's tag field)
   unsigned min_history = 4;
   unsigned max_history = 256;
   unsigned bimodal_bits = 13;  ///< base table entries = 2^bimodal_bits
@@ -154,11 +162,47 @@ class TagePredictorT final {
   }
 
  private:
-  struct TaggedEntry {
-    util::SignedSaturatingCounter<3> ctr;
-    std::uint32_t tag = 0;
-    util::SaturatingCounter<2> useful{0};
-    bool valid = false;
+  /// A tagged-table entry packed into one word: the tag in bits 0-15, the
+  /// 3-bit prediction counter biased by 4 in bits 16-18 (so bit 18 is the
+  /// predicted direction), the 2-bit useful counter in bits 19-20 and the
+  /// valid bit at 21. The reset entry is invalid with a zero counter.
+  struct Packed {
+    static constexpr unsigned kTagMax = 16;
+    static constexpr unsigned kCtrShift = 16;
+    static constexpr unsigned kUsefulShift = 19;
+    static constexpr std::uint32_t kValid = 1u << 21;
+    static constexpr std::uint32_t kMatchField = kValid | 0xFFFFu;
+    static constexpr std::uint32_t kReset = 4u << kCtrShift;
+
+    [[nodiscard]] static constexpr unsigned ctr(std::uint32_t e) noexcept {
+      return (e >> kCtrShift) & 7;
+    }
+    [[nodiscard]] static constexpr bool taken(std::uint32_t e) noexcept {
+      return ((e >> (kCtrShift + 2)) & 1) != 0;
+    }
+    /// Counter value 0 or -1.
+    [[nodiscard]] static constexpr bool weak(std::uint32_t e) noexcept {
+      return ctr(e) - 3 < 2;
+    }
+    [[nodiscard]] static constexpr unsigned useful(std::uint32_t e) noexcept {
+      return (e >> kUsefulShift) & 3;
+    }
+    static constexpr void update_ctr(std::uint32_t& e, bool taken) noexcept {
+      const unsigned c = ctr(e);
+      if (taken ? c < 7 : c > 0) e = taken ? e + (1u << kCtrShift) : e - (1u << kCtrShift);
+    }
+    static constexpr void update_useful(std::uint32_t& e, bool up) noexcept {
+      const unsigned u = useful(e);
+      if (up ? u < 3 : u > 0) e = up ? e + (1u << kUsefulShift) : e - (1u << kUsefulShift);
+    }
+    static constexpr void decay_useful(std::uint32_t& e) noexcept {
+      e -= useful(e) != 0 ? 1u << kUsefulShift : 0u;
+    }
+    /// A freshly allocated entry: valid, useful 0, counter 0 (taken) or -1.
+    [[nodiscard]] static constexpr std::uint32_t allocate(std::uint32_t tag,
+                                                          bool taken) noexcept {
+      return kValid | ((taken ? 4u : 3u) << kCtrShift) | tag;
+    }
   };
 
   struct LoopEntry {
@@ -171,10 +215,21 @@ class TagePredictorT final {
 
   struct TableMatch {
     int table = -1;  ///< -1: bimodal
-    std::uint32_t index = 0;
+    std::uint32_t index = 0;  ///< bimodal index, or the flat entry index
     bool prediction = false;
     bool weak = false;
   };
+
+  [[nodiscard]] std::size_t entry_index(unsigned table, std::uint32_t idx) const noexcept {
+    return (std::size_t{table} << cfg_.index_bits) | idx;
+  }
+  [[nodiscard]] TableMatch tagged_match(unsigned table, std::uint32_t idx) const noexcept {
+    const std::size_t i = entry_index(table, idx);
+    return {.table = static_cast<int>(table),
+            .index = static_cast<std::uint32_t>(i),
+            .prediction = Packed::taken(tables_[i]),
+            .weak = Packed::weak(tables_[i])};
+  }
 
   [[nodiscard]] std::uint32_t bimodal_index(std::uint64_t ip,
                                             const bpu::ExecContext& ctx) const;
@@ -194,7 +249,7 @@ class TagePredictorT final {
   TageConfig cfg_;
   const Mapping* mapping_;
   std::vector<unsigned> history_lengths_;
-  std::vector<std::vector<TaggedEntry>> tables_;
+  std::vector<std::uint32_t> tables_;  ///< entry_index(t, i) → Packed word
   std::vector<util::SaturatingCounter<2>> bimodal_;
   std::vector<LoopEntry> loop_;
   // SC: bias table + two GEHL history tables of 6-bit signed counters.
@@ -217,12 +272,11 @@ class TagePredictorT final {
     bool loop_pred = false;
     bool sc_used = false;
     bool final_pred = false;
-    // Prediction-time per-table indices (masked) and tags, valid for tables
-    // [computed_from, num_tables); update()'s allocate/aging paths reuse
-    // them instead of recomputing folds + mapping hashes per table.
+    // Prediction-time per-table indices (masked) and tags of every table;
+    // update()'s allocate/aging paths reuse them instead of recomputing
+    // folds + mapping hashes per table.
     std::vector<std::uint32_t> gi;
     std::vector<std::uint32_t> gtag;
-    unsigned computed_from = 0;
     // Per-table Rt index/tag keys staged for the batched mapping call.
     std::vector<std::uint64_t> rt_index_key;
     std::vector<std::uint64_t> rt_tag_key;
@@ -246,6 +300,14 @@ template <class Mapping>
 TagePredictorT<Mapping>::TagePredictorT(const TageConfig& cfg, const Mapping* mapping,
                                         std::uint64_t seed)
     : cfg_(cfg), mapping_(mapping), rng_(seed) {
+  if (cfg_.tag_bits > Packed::kTagMax) {
+    throw std::invalid_argument("TAGE tag_bits " + std::to_string(cfg_.tag_bits) +
+                                " exceeds the packed entry's 16-bit tag field");
+  }
+  if (cfg_.num_tables == 0 || cfg_.num_tables > 32) {
+    throw std::invalid_argument("TAGE num_tables " + std::to_string(cfg_.num_tables) +
+                                " outside 1..32 (the match mask has 32 bits)");
+  }
   // Geometric history series L(i) = min * (max/min)^(i/(N-1)) (Seznec).
   history_lengths_.resize(cfg_.num_tables);
   for (unsigned i = 0; i < cfg_.num_tables; ++i) {
@@ -261,8 +323,7 @@ TagePredictorT<Mapping>::TagePredictorT(const TageConfig& cfg, const Mapping* ma
     }
   }
 
-  tables_.assign(cfg_.num_tables,
-                 std::vector<TaggedEntry>(std::size_t{1} << cfg_.index_bits));
+  tables_.assign(std::size_t{cfg_.num_tables} << cfg_.index_bits, Packed::kReset);
   bimodal_.assign(std::size_t{1} << cfg_.bimodal_bits, util::SaturatingCounter<2>{});
   loop_.assign(64, LoopEntry{});
   sc_bias_.assign(1u << 11, util::SignedSaturatingCounter<6>{});
@@ -324,7 +385,9 @@ template <class Mapping>
 void TagePredictorT<Mapping>::loop_keys(std::uint64_t ip,
                                         const bpu::ExecContext& ctx) const {
   if (!scratch_.loop_keys_valid) {
-    scratch_.loop_row = mapping_->perceptron_row(ip, 6, ctx) & 63;
+    // Every mapping's row is a low-bit mask of one per-address value, so
+    // the 6-bit loop row is the SC row's low bits: one Rp lookup per branch.
+    scratch_.loop_row = sc_row_of(ip, ctx) & 63;
     // A batching mapping already delivered the tag with find_matches' Rt batch.
     if constexpr (!bpu::RtBatch<Mapping>) {
       scratch_.loop_tag = mapping_->tage_tag(ip, 0, bpu::kTageLoopTagTable,
@@ -346,12 +409,18 @@ std::uint32_t TagePredictorT<Mapping>::bimodal_index(std::uint64_t ip,
 template <class Mapping>
 void TagePredictorT<Mapping>::find_matches(std::uint64_t ip, const bpu::ExecContext& ctx,
                                            TableMatch& provider, TableMatch& alt) {
-  provider = {};
-  alt = {};
   const HartState& hs = harts_[ctx.hart & 1];
   const unsigned n = cfg_.num_tables;
+  // Bit t of `hits`: table t's entry is valid and its tag matches.
+  std::uint32_t hits = 0;
+  const auto hit = [&](unsigned t) -> std::uint32_t {
+    const std::uint32_t e = tables_[entry_index(t, scratch_.gi[t])];
+    return std::uint32_t{(e & Packed::kMatchField) == (Packed::kValid | scratch_.gtag[t])}
+           << t;
+  };
   if constexpr (bpu::RtBatch<Mapping>) {
-    // Every table's index and tag (and the loop tag) in one batched call.
+    // Every table's index and tag (and the loop tag) in one batched call,
+    // then every table's entry against its tag.
     for (unsigned t = 0; t < n; ++t) {
       scratch_.rt_index_key[t] = folded_key(hs, t);
       scratch_.rt_tag_key[t] = tag_key(scratch_.rt_index_key[t]);
@@ -360,46 +429,37 @@ void TagePredictorT<Mapping>::find_matches(std::uint64_t ip, const bpu::ExecCont
                           cfg_.index_bits, cfg_.tag_bits, scratch_.gi.data(),
                           scratch_.gtag.data(),
                           cfg_.use_loop_predictor ? &scratch_.loop_tag : nullptr, ctx);
-    scratch_.computed_from = 0;
+    for (unsigned t = 0; t < n; ++t) hits |= hit(t);
   } else {
-    scratch_.computed_from = n;
-  }
-  const std::uint32_t index_mask = (1u << cfg_.index_bits) - 1;
-  for (int t = static_cast<int>(n) - 1; t >= 0; --t) {
-    const unsigned ut = static_cast<unsigned>(t);
-    if constexpr (!bpu::RtBatch<Mapping>) {
-      // Cache prediction-time index/tag for update()'s allocate/aging reuse.
-      const std::uint64_t key = folded_key(hs, ut);
-      scratch_.gi[ut] =
-          mapping_->tage_index(ip, key, ut, cfg_.index_bits, ctx) & index_mask;
-      scratch_.gtag[ut] = mapping_->tage_tag(ip, tag_key(key), ut, cfg_.tag_bits, ctx);
-      scratch_.computed_from = ut;
-    }
-    const std::uint32_t idx = scratch_.gi[ut];
-    const std::uint32_t tag = scratch_.gtag[ut];
-    const TaggedEntry& e = tables_[ut][idx];
-    if (e.valid && e.tag == tag) {
-      const TableMatch m{.table = t,
-                         .index = idx,
-                         .prediction = e.ctr.taken(),
-                         .weak = e.ctr.value() == 0 || e.ctr.value() == -1};
-      if (provider.table < 0) {
-        provider = m;
-      } else if (alt.table < 0) {
-        alt = m;
-        break;
-      }
+    // Per-table mapping calls, longest history first, stopping at the
+    // second hit: update() reads only the tables above the provider. The
+    // indices/tags are cached for update()'s allocate/aging reuse.
+    const std::uint32_t index_mask = (1u << cfg_.index_bits) - 1;
+    for (unsigned t = n; t-- > 0;) {
+      const std::uint64_t key = folded_key(hs, t);
+      scratch_.gi[t] = mapping_->tage_index(ip, key, t, cfg_.index_bits, ctx) & index_mask;
+      scratch_.gtag[t] = mapping_->tage_tag(ip, tag_key(key), t, cfg_.tag_bits, ctx);
+      hits |= hit(t);
+      if ((hits & (hits - 1)) != 0) break;  // a second bit: provider and alt found
     }
   }
-  if (provider.table < 0) {
-    const std::uint32_t bi = bimodal_index(ip, ctx);
-    provider = {.table = -1, .index = bi, .prediction = bimodal_[bi].taken(),
-                .weak = !bimodal_[bi].is_saturated()};
-  } else if (alt.table < 0) {
-    const std::uint32_t bi = bimodal_index(ip, ctx);
-    alt = {.table = -1, .index = bi, .prediction = bimodal_[bi].taken(),
-           .weak = !bimodal_[bi].is_saturated()};
+  // Provider: the longest-history hit; alt: the next longest, else bimodal.
+  provider = {};
+  alt = {};
+  if (hits != 0) {
+    const unsigned p = static_cast<unsigned>(std::bit_width(hits)) - 1;
+    provider = tagged_match(p, scratch_.gi[p]);
+    hits &= ~(1u << p);
+    if (hits != 0) {
+      const unsigned a = static_cast<unsigned>(std::bit_width(hits)) - 1;
+      alt = tagged_match(a, scratch_.gi[a]);
+      return;
+    }
   }
+  const std::uint32_t bi = bimodal_index(ip, ctx);
+  TableMatch& base = provider.table < 0 ? provider : alt;
+  base = {.table = -1, .index = bi, .prediction = bimodal_[bi].taken(),
+          .weak = !bimodal_[bi].is_saturated()};
 }
 
 template <class Mapping>
@@ -535,15 +595,15 @@ void TagePredictorT<Mapping>::update(std::uint64_t ip, const bpu::ExecContext& c
 
   // Train the provider.
   if (provider.table >= 0) {
-    TaggedEntry& e = tables_[static_cast<unsigned>(provider.table)][provider.index];
-    e.ctr.update(taken);
+    std::uint32_t& e = tables_[provider.index];
+    Packed::update_ctr(e, taken);
     if (provider.prediction != alt.prediction) {
-      e.useful.update(provider.prediction == taken);
+      Packed::update_useful(e, provider.prediction == taken);
     }
     // Weak providers also train the alternate so it stays a fallback.
     if (provider.weak) {
       if (alt.table >= 0) {
-        tables_[static_cast<unsigned>(alt.table)][alt.index].ctr.update(taken);
+        Packed::update_ctr(tables_[alt.index], taken);
       } else {
         bimodal_[alt.index].update(taken);
       }
@@ -553,24 +613,20 @@ void TagePredictorT<Mapping>::update(std::uint64_t ip, const bpu::ExecContext& c
   }
 
   // Allocate a longer-history entry on a TAGE misprediction. All candidate
-  // tables are at or above the provider, i.e. inside the range find_matches
-  // walked at predict time — the folds have not advanced yet and ψ is
-  // unchanged within the access, so the cached indices/tags are exactly what
-  // a recompute would produce.
+  // tables are above the provider, i.e. inside the range find_matches
+  // computed at predict time — the folds have not advanced yet and ψ is
+  // unchanged within the access, so the cached indices/tags are exactly
+  // what a recompute would produce.
   if (scratch_.tage_pred != taken &&
       provider.table < static_cast<int>(cfg_.num_tables) - 1) {
     const unsigned start = static_cast<unsigned>(provider.table + 1);
-    assert(start >= scratch_.computed_from);
     // Skip 0..1 tables at random to spread allocations (Seznec).
     unsigned first = start + (rng_.below(2) && start + 1 < cfg_.num_tables ? 1 : 0);
     bool allocated = false;
     for (unsigned t = first; t < cfg_.num_tables; ++t) {
-      TaggedEntry& e = tables_[t][scratch_.gi[t]];
-      if (!e.valid || e.useful.raw() == 0) {
-        e.valid = true;
-        e.tag = scratch_.gtag[t];
-        e.ctr.set(taken ? 0 : -1);
-        e.useful.set_raw(0);
+      std::uint32_t& e = tables_[entry_index(t, scratch_.gi[t])];
+      if ((e & Packed::kValid) == 0 || Packed::useful(e) == 0) {
+        e = Packed::allocate(scratch_.gtag[t], taken);
         allocated = true;
         break;
       }
@@ -578,7 +634,7 @@ void TagePredictorT<Mapping>::update(std::uint64_t ip, const bpu::ExecContext& c
     if (!allocated) {
       // All candidates useful — age them so future allocations succeed.
       for (unsigned t = start; t < cfg_.num_tables; ++t) {
-        tables_[t][scratch_.gi[t]].useful.decrement();
+        Packed::update_useful(tables_[entry_index(t, scratch_.gi[t])], false);
       }
     }
   }
@@ -586,9 +642,7 @@ void TagePredictorT<Mapping>::update(std::uint64_t ip, const bpu::ExecContext& c
   // Periodic graceful useful decay.
   if (++tick_ >= detail::kTickPeriod) {
     tick_ = 0;
-    for (auto& table : tables_) {
-      for (auto& e : table) e.useful.decrement();
-    }
+    for (std::uint32_t& e : tables_) Packed::decay_useful(e);
   }
 
   // Advance this hart's history and folds.
@@ -605,9 +659,7 @@ void TagePredictorT<Mapping>::track(const bpu::BranchRecord& rec) {
 
 template <class Mapping>
 void TagePredictorT<Mapping>::flush() {
-  for (auto& table : tables_) {
-    for (auto& e : table) e = TaggedEntry{};
-  }
+  std::fill(tables_.begin(), tables_.end(), Packed::kReset);
   for (auto& b : bimodal_) b = util::SaturatingCounter<2>{};
   for (auto& l : loop_) l = LoopEntry{};
   for (auto& b : sc_bias_) b = util::SignedSaturatingCounter<6>{};

@@ -1,6 +1,6 @@
 // Bit-identity properties of the batched mix kernels: every rendering
-// (T-table lanes, AVX2 shuffles) and every lane count of detail::mix_batch must reproduce scalar detail::mix
-// exactly, over random and adversarial inputs and across ψ re-keys —
+// (T-table lanes, AVX-512 shuffles) and every lane count of
+// detail::mix_batch must reproduce scalar detail::mix exactly, over random and adversarial inputs and across ψ re-keys —
 // that identity is what lets the remap cache fill entries from batched
 // kernels without the equivalence tests ever noticing.
 #include <gtest/gtest.h>
@@ -40,14 +40,14 @@ void expect_lanes_match_scalar(std::uint32_t psi, std::uint64_t tweak,
     EXPECT_EQ(out[i], detail::mix(lo[i], hi[i], psi, tweak))
         << "lane " << i << " of N=" << N;
   }
-  // The production dispatch entry point (AVX2 nibble-shuffle kernel when
-  // the host supports it, T-table lanes otherwise) must match too.
+  // The production dispatch entry point (AVX-512 nibble-shuffle kernel
+  // when the host supports it, T-table lanes otherwise) must match too.
   std::uint64_t dout[N];
   detail::mix_batch_dispatch<N>(lo, hi, psi, tweak, dout);
   for (unsigned i = 0; i < N; ++i) {
     EXPECT_EQ(dout[i], detail::mix(lo[i], hi[i], psi, tweak))
         << "dispatch lane " << i << " of N=" << N
-        << " avx2=" << detail::mix_avx2_available();
+        << " avx512=" << detail::mix_avx512_available();
   }
 }
 
@@ -98,6 +98,7 @@ void run_property(std::uint64_t seed) {
 TEST(MixBatch, Lanes1MatchScalar) { run_property<1>(0xA1); }
 TEST(MixBatch, Lanes4MatchScalar) { run_property<4>(0xA4); }
 TEST(MixBatch, Lanes8MatchScalar) { run_property<8>(0xA8); }
+TEST(MixBatch, Lanes12MatchScalar) { run_property<12>(0xAC); }
 
 TEST(MixBatch, RemapperHelpersMatchScalarFunctions) {
   // The from_mix extraction helpers must reproduce the public R functions
@@ -123,9 +124,9 @@ TEST(MixBatch, RemapperHelpersMatchScalarFunctions) {
 }
 
 /// Remapper::rt_all must equal the per-table Rt functions lane for lane —
-/// every table's index and tag plus the loop tag riding in the spare tag
-/// lane — for `cfg`'s geometry, through the kernel UseAvx2 selects.
-template <bool UseAvx2>
+/// every table's index and tag plus the loop tag lane — for `cfg`'s
+/// geometry, through the kernel UseAvx512 selects.
+template <bool UseAvx512>
 void expect_rt_all_matches_per_table(const tage::TageConfig& cfg, std::uint64_t seed) {
   util::Xoshiro256 rng(seed);
   const unsigned n = cfg.num_tables;
@@ -141,48 +142,71 @@ void expect_rt_all_matches_per_table(const tage::TageConfig& cfg, std::uint64_t 
       tag_keys[t] = tage::TagePredictorT<bpu::BaselineMappingLogic>::tag_key(index_keys[t]);
     }
     std::uint32_t loop_tag = 0;
-    Remapper::rt_all<UseAvx2>(psi, ip, index_keys.data(), tag_keys.data(), n,
-                              cfg.index_bits, cfg.tag_bits, idx.data(), tag.data(),
-                              &loop_tag);
+    Remapper::rt_all<UseAvx512>(psi, ip, index_keys.data(), tag_keys.data(), n,
+                                cfg.index_bits, cfg.tag_bits, idx.data(), tag.data(),
+                                &loop_tag);
     for (unsigned t = 0; t < n; ++t) {
       ASSERT_EQ(idx[t], Remapper::rt_index(psi, ip, index_keys[t], t, cfg.index_bits))
-          << cfg.name << " index lane " << t;
+          << cfg.name << " n=" << n << " index lane " << t;
       ASSERT_EQ(tag[t], Remapper::rt_tag(psi, ip, tag_keys[t], t, cfg.tag_bits))
-          << cfg.name << " tag lane " << t;
+          << cfg.name << " n=" << n << " tag lane " << t;
     }
     ASSERT_EQ(loop_tag, Remapper::rt_tag(psi, ip, 0, bpu::kTageLoopTagTable,
                                          bpu::kTageLoopTagBits))
-        << cfg.name << " loop tag lane";
+        << cfg.name << " n=" << n << " loop tag lane";
 
     // Without a loop tag the table lanes are unchanged.
     std::vector<std::uint32_t> idx2(n), tag2(n);
-    Remapper::rt_all<UseAvx2>(psi, ip, index_keys.data(), tag_keys.data(), n,
-                              cfg.index_bits, cfg.tag_bits, idx2.data(), tag2.data(),
-                              nullptr);
-    ASSERT_EQ(idx2, idx) << cfg.name;
-    ASSERT_EQ(tag2, tag) << cfg.name;
+    Remapper::rt_all<UseAvx512>(psi, ip, index_keys.data(), tag_keys.data(), n,
+                                cfg.index_bits, cfg.tag_bits, idx2.data(), tag2.data(),
+                                nullptr);
+    ASSERT_EQ(idx2, idx) << cfg.name << " n=" << n;
+    ASSERT_EQ(tag2, tag) << cfg.name << " n=" << n;
   }
 }
 
+/// Table counts 1-20 (every vector and chunk boundary of both kernels)
+/// and the 32-table maximum.
+template <bool UseAvx512>
+void expect_rt_all_matches_every_table_count() {
+  for (unsigned n = 1; n <= 20; ++n) {
+    tage::TageConfig cfg = tage::TageConfig::kb64();
+    cfg.num_tables = n;
+    expect_rt_all_matches_per_table<UseAvx512>(cfg, 0x100 + n);
+  }
+  tage::TageConfig widest = tage::TageConfig::kb64();
+  widest.num_tables = Remapper::kMaxRtTables;
+  expect_rt_all_matches_per_table<UseAvx512>(widest, 0x1FF);
+}
+
+// The shipped geometries through the portable kernel, and through the
+// AVX-512 one where the host runs it (RtAllAvx512KernelMatchesPerTableRt
+// reports the skip otherwise).
 TEST(MixBatch, RtAllMatchesPerTableRtKb8) {
-  expect_rt_all_matches_per_table<true>(tage::TageConfig::kb8(), 0x8B);
   expect_rt_all_matches_per_table<false>(tage::TageConfig::kb8(), 0x8C);
+  if (detail::mix_avx512_available()) {
+    expect_rt_all_matches_per_table<true>(tage::TageConfig::kb8(), 0x8B);
+  }
 }
 
 TEST(MixBatch, RtAllMatchesPerTableRtKb64) {
-  expect_rt_all_matches_per_table<true>(tage::TageConfig::kb64(), 0x64);
   expect_rt_all_matches_per_table<false>(tage::TageConfig::kb64(), 0x65);
+  if (detail::mix_avx512_available()) {
+    expect_rt_all_matches_per_table<true>(tage::TageConfig::kb64(), 0x64);
+  }
 }
 
 TEST(MixBatch, RtAllCoversEveryLanePaddingAndTheScalarFallback) {
-  // Table counts on both sides of every padding boundary, and past the
-  // kernel's lane capacity (the per-table fallback).
-  for (unsigned n : {1u, 3u, 4u, 7u, 8u, 11u, 12u, 15u, 16u, 20u}) {
-    tage::TageConfig cfg = tage::TageConfig::kb64();
-    cfg.num_tables = n;
-    expect_rt_all_matches_per_table<true>(cfg, 0x100 + n);
-    expect_rt_all_matches_per_table<false>(cfg, 0x200 + n);
+  // The portable T-table kernel, the one every host can run.
+  expect_rt_all_matches_every_table_count<false>();
+}
+
+TEST(MixBatch, RtAllAvx512KernelMatchesPerTableRt) {
+  if (!detail::mix_avx512_available()) {
+    GTEST_SKIP() << "host lacks AVX-512F/BW: rt_all runs the portable kernel here, "
+                    "which RtAllCoversEveryLanePaddingAndTheScalarFallback covers";
   }
+  expect_rt_all_matches_every_table_count<true>();
 }
 
 }  // namespace

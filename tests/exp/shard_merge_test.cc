@@ -178,6 +178,75 @@ TEST(ShardMerge, RejectsGarbageInput) {
   EXPECT_NE(err.find("numeric"), std::string::npos) << err;
 }
 
+/// A real single-shard sec6_thresholds shard file.
+std::string sec6_shard() {
+  register_builtin_scenarios();
+  const Scenario* scenario = find_scenario("sec6_thresholds");
+  ExperimentSpec spec;
+  spec.scenario = "sec6_thresholds";
+  spec.shard_index = 0;
+  spec.shard_count = 1;
+  RunOutcome outcome;
+  std::string err;
+  EXPECT_TRUE(run_experiment(*scenario, spec, outcome, err)) << err;
+  return shard_json(*scenario, spec, outcome);
+}
+
+/// `text` with `insert` placed before the first occurrence of `at`.
+std::string insert_before(std::string text, const std::string& at, const std::string& insert) {
+  const std::size_t pos = text.find(at);
+  EXPECT_NE(pos, std::string::npos) << at;
+  return text.insert(pos, insert);
+}
+
+TEST(ShardMerge, IntFieldsOutsideIntRangeAreRejected) {
+  const std::string shard = sec6_shard();
+  std::string merged, merged_scenario, err;
+  ASSERT_TRUE(merge_shards({shard}, merged, merged_scenario, err)) << err;
+
+  // Both ends of int's range merge as themselves.
+  for (const std::string v : {"2147483647", "-2147483648"}) {
+    const std::string edited =
+        insert_before(shard, "[\"", "[\"limit\", \"i\", " + v + "], ");
+    ASSERT_TRUE(merge_shards({edited}, merged, merged_scenario, err)) << v << ": " << err;
+    EXPECT_NE(merged.find("\"limit\": " + v), std::string::npos) << merged;
+  }
+  // One past either end, 2^32 + 1 (which a 32-bit cast would read as 1), a
+  // fraction and a non-number are named errors giving key and value.
+  for (const std::string v : {"2147483648", "-2147483649", "4294967297", "1.5", "\"7\""}) {
+    const std::string edited =
+        insert_before(shard, "[\"", "[\"mispredictions\", \"i\", " + v + "], ");
+    EXPECT_FALSE(merge_shards({edited}, merged, merged_scenario, err)) << v;
+    EXPECT_NE(err.find("'mispredictions'"), std::string::npos) << err;
+    EXPECT_NE(err.find("int range"), std::string::npos) << err;
+    if (v[0] != '"') {
+      EXPECT_NE(err.find(v), std::string::npos) << err;
+    }
+  }
+}
+
+TEST(ShardMerge, RepeatedKeyIsRejectedInEitherOrder) {
+  // An empty "points" array beside the real one: read by first match, one
+  // order would merge as "point missing from every shard" and the other
+  // silently. The parser names the repeated key instead, with its offset.
+  const std::string shard = sec6_shard();
+  std::string merged, merged_scenario, err;
+  const std::string before = insert_before(shard, "\"points\"", "\"points\": [], ");
+  EXPECT_FALSE(merge_shards({before}, merged, merged_scenario, err));
+  EXPECT_NE(err.find("repeated object key 'points'"), std::string::npos) << err;
+  EXPECT_NE(err.find("offset " + std::to_string(before.find("\"points\": [\n"))),
+            std::string::npos)
+      << err;
+
+  const std::string after =
+      insert_before(shard, "\n}\n", ",\n  \"points\": []");
+  EXPECT_FALSE(merge_shards({after}, merged, merged_scenario, err));
+  EXPECT_NE(err.find("repeated object key 'points'"), std::string::npos) << err;
+  EXPECT_NE(err.find("offset " + std::to_string(after.rfind("\"points\""))),
+            std::string::npos)
+      << err;
+}
+
 TEST(Runner, WriteFileIsAtomicAndCrashSafe) {
   const std::string dir = ::testing::TempDir();
   const std::string path = dir + "stbpu_write_file_test.json";

@@ -305,6 +305,17 @@ TEST(Json, DeepNestingIsAParseErrorNotACrash) {
   EXPECT_TRUE(json_parse(ok, v, err)) << err;
 }
 
+TEST(Json, RepeatedObjectKeyIsAParseError) {
+  JsonValue v;
+  std::string err;
+  EXPECT_FALSE(json_parse(R"({"a": 1, "b": 2, "a": 3})", v, err));
+  EXPECT_NE(err.find("repeated object key 'a' at offset 17"), std::string::npos) << err;
+  // Nested objects are checked too; the same key in sibling objects is fine.
+  EXPECT_FALSE(json_parse(R"([{"x": {"k": 1, "k": 1}}])", v, err));
+  EXPECT_NE(err.find("'k'"), std::string::npos) << err;
+  EXPECT_TRUE(json_parse(R"([{"k": 1}, {"k": 2}, {"a": {"k": 3}, "k": 4}])", v, err)) << err;
+}
+
 TEST(Json, QuoteRoundTrip) {
   const std::string nasty = "a\"b\\c\nd\te\x01f";
   JsonValue v;
@@ -382,6 +393,12 @@ TEST(ExperimentSpec, NumericFieldsAreNeverReinterpreted) {
 }
 
 TEST(ExperimentSpec, RepeatedKeysAreRejected) {
+  // json_parse itself rejects a repeated key, at any depth, naming it.
+  const auto spec_from = [](const std::string& text, ExperimentSpec& out,
+                            std::string& err) {
+    JsonValue doc;
+    return json_parse(text, doc, err) && ExperimentSpec::from_json(doc, out, err);
+  };
   ExperimentSpec out;
   std::string err;
   EXPECT_FALSE(spec_from(R"({"scenario": "x", "points": [1], "points": [2], "jobs": 1,

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdlib>
 #include <functional>
+#include <vector>
 
 #include "bpu/mapping.h"
 #include "tage/tage.h"
@@ -102,6 +105,82 @@ TEST_F(PerceptronTest, XorOfHistoryBitsIsHard) {
 TEST_F(PerceptronTest, WeightsSaturate) {
   // A very long bias run must not overflow weights (they clamp).
   EXPECT_GT(accuracy([](std::uint64_t) { return true; }, 0x5000, 20000, 0), 0.99);
+}
+
+/// The perceptron rule spelled out with plain ints: 33 weights per row
+/// (bias first), y = w0 + Σ (history bit i ? w[i+1] : −w[i+1]) over the 32
+/// newest outcomes, and training that steps each weight by ±1 inside
+/// [−128, 127]. The int8-lane predictor must agree with it exactly.
+struct ScalarPerceptron {
+  static constexpr int kTheta = static_cast<int>(1.93 * 32 + 14);
+  std::vector<std::array<int, 33>> w = std::vector<std::array<int, 33>>(1024);
+  std::uint64_t ghr = 0;
+
+  int output(std::uint32_t row) const {
+    int y = w[row][0];
+    for (unsigned i = 0; i < 32; ++i) {
+      y += ((ghr >> i) & 1) != 0 ? w[row][i + 1] : -w[row][i + 1];
+    }
+    return y;
+  }
+  static void step(int& weight, bool up) {
+    if (up && weight < 127) ++weight;
+    if (!up && weight > -128) --weight;
+  }
+  void update(std::uint32_t row, int y, bool taken) {
+    if ((y >= 0) != taken || std::abs(y) <= kTheta) {
+      step(w[row][0], taken);
+      for (unsigned i = 0; i < 32; ++i) step(w[row][i + 1], ((ghr >> i) & 1) == taken);
+    }
+    ghr = (ghr << 1) | static_cast<std::uint64_t>(taken);
+  }
+};
+
+TEST_F(PerceptronTest, DotAtTheWeightLimits) {
+  // One nonzero weight, on GHR bit 0 (the previous outcome). Under a
+  // not-taken bit a weight counts negated: −(−128) = +128, one past the
+  // int8 range, and −127 for a 127.
+  const std::uint64_t ip = 0x9000, other = 0x9040;
+  const std::uint32_t row = map_.perceptron_row(ip, 10, kCtx);
+  ASSERT_NE(map_.perceptron_row(other, 10, kCtx), row);
+  const auto y_after = [&](bool previous) {
+    pred_.update(other, kCtx, previous, pred_.predict(other, kCtx));
+    (void)pred_.predict(ip, kCtx);
+    return pred_.last_output();
+  };
+  pred_.debug_set_weight(row, 1, -128);
+  EXPECT_EQ(y_after(false), 128);
+  EXPECT_EQ(y_after(true), -128);
+  pred_.debug_set_weight(row, 1, 127);
+  EXPECT_EQ(y_after(false), -127);
+  EXPECT_EQ(y_after(true), 127);
+}
+
+TEST_F(PerceptronTest, MatchesScalarModelAtTheWeightLimits) {
+  // Every weight of a row starts at 127 or −128, then trains on random
+  // outcomes: the dot product and the saturating ±1 steps must agree with
+  // the int model branch for branch (a wrapped int8 step would show as a
+  // 255 jump in y).
+  ScalarPerceptron model;
+  util::Xoshiro256 rng(0x5A7);
+  const std::uint64_t ip = 0x9000;
+  const std::uint32_t row = map_.perceptron_row(ip, 10, kCtx);
+  for (unsigned round = 0; round < 200; ++round) {
+    for (unsigned i = 0; i <= 32; ++i) {
+      const int w = rng.chance(0.5) ? 127 : -128;
+      model.w[row][i] = w;
+      pred_.debug_set_weight(row, i, static_cast<std::int8_t>(w));
+    }
+    for (unsigned k = 0; k < 40; ++k) {
+      const bool taken = rng.chance(0.5);
+      const auto p = pred_.predict(ip, kCtx);
+      const int y = model.output(row);
+      ASSERT_EQ(pred_.last_output(), y) << "round " << round << " branch " << k;
+      ASSERT_EQ(p.taken, y >= 0) << "round " << round << " branch " << k;
+      pred_.update(ip, kCtx, taken, p);
+      model.update(row, y, taken);
+    }
+  }
 }
 
 TEST_F(PerceptronTest, FlushForgets) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "bpu/mapping.h"
 #include "tage_config_printer.h"
 #include "util/rng.h"
@@ -130,6 +132,31 @@ TEST(TageConfigs, GeometryMatchesTable2) {
   EXPECT_EQ(kb64.index_bits, 13u);  // 13-bit index
   EXPECT_EQ(kb64.tag_bits, 12u);    // 12-bit tag
   EXPECT_GT(kb64.max_history, kb8.max_history);
+}
+
+TEST(TageConfigs, RejectsGeometryBeyondThePackedEntry) {
+  // Tags live in a 16-bit field of the packed entry and the table walk's
+  // match mask has 32 bits; either limit exceeded, or no tagged table at
+  // all, is a named error, the limits themselves are accepted.
+  const bpu::BaselineMappingLogic map;
+  TageConfig cfg = TageConfig::kb8();
+  cfg.index_bits = 4;
+  cfg.tag_bits = 17;
+  EXPECT_THROW(TagePredictorT<bpu::BaselineMappingLogic>(cfg, &map), std::invalid_argument);
+  cfg.tag_bits = 16;
+  EXPECT_NO_THROW(TagePredictorT<bpu::BaselineMappingLogic>(cfg, &map));
+  cfg.num_tables = 0;
+  EXPECT_THROW(TagePredictorT<bpu::BaselineMappingLogic>(cfg, &map), std::invalid_argument);
+  cfg.num_tables = 33;
+  cfg.max_history = 200;
+  EXPECT_THROW(TagePredictorT<bpu::BaselineMappingLogic>(cfg, &map), std::invalid_argument);
+  cfg.num_tables = 32;
+  TagePredictorT<bpu::BaselineMappingLogic> widest(cfg, &map);
+  // The widest geometry still predicts and trains.
+  for (std::uint64_t i = 0; i < 2000; ++i) {
+    const auto p = widest.predict(0x1000, kCtx);
+    widest.update(0x1000, kCtx, i % 3 != 0, p);
+  }
 }
 
 }  // namespace
