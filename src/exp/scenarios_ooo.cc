@@ -26,7 +26,7 @@ namespace {
 // (profile, seed) instruction stream; at CI/quick scales the stream is a
 // pregenerated whole-run SoA artifact shared across arms, repetitions and
 // sweep points (trace::shared_instr_trace — generated once per process),
-// which the cores consume zero-copy through their fetch windows. Very
+// which the tick core reads through borrowed blocks. Very
 // large budgets fall back to on-the-fly generation (a paper-scale 100M
 // instruction artifact would be several GB); records are bit-identical
 // either way, so the fallback changes wall-clock only.
@@ -35,11 +35,10 @@ namespace {
 constexpr std::uint64_t kPregenMaxInstrs = 4'000'000;
 
 std::uint64_t pregen_instr_count(const ExperimentSpec& spec) {
-  // Upper bound on per-thread consumption: warm-up + measured budget plus
-  // the fetch window's prefetch slack (frontend_depth × width, far
-  // below 4096 for any config used here). The cores stop at their budgets,
-  // so a stream at least this long is indistinguishable from an infinite
-  // generator.
+  // Per-thread consumption is at most warm-up + measured budget (the cores
+  // take exactly the instructions they step); 4096 more are slack. The
+  // cores stop at their budgets, so a stream at least this long is
+  // indistinguishable from an infinite generator.
   return spec.scale.ooo_warmup + spec.scale.ooo_instructions + 4096;
 }
 

@@ -191,11 +191,13 @@ struct CacheHierarchyConfig {
   std::uint32_t memory_latency = 220;
 };
 
-/// Demand hit/miss counters of all three levels — the cycle-level
-/// simulator's cache-behaviour fingerprint. Surfaced in OooResult so
-/// equivalence checks (and the CI compare gate) can assert the cache
-/// simulation itself is bit-identical across core variants, not just the
-/// IPC it produces.
+/// Hit/miss counters of all three levels — the cycle-level simulator's
+/// cache-behaviour fingerprint. They count every probe of a level, prefetch
+/// fills included: a streaming access probes L1 twice (the next line, then
+/// its own), and a prefetch that misses L1 probes L2 and the LLC. Surfaced
+/// in OooResult so equivalence checks (and the CI compare gate) can assert
+/// the cache simulation itself is bit-identical across core variants, not
+/// just the IPC it produces.
 struct CacheHierarchyCounters {
   std::uint64_t l1d_hits = 0, l1d_misses = 0;
   std::uint64_t l2_hits = 0, l2_misses = 0;

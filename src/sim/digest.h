@@ -38,7 +38,8 @@ inline void digest(Digest& d, const BranchStats& s) {
 }
 
 /// Per thread: instructions, cycles, branch statistics and stall
-/// attribution; then the cache hierarchy's demand counters.
+/// attribution; then the cache hierarchy's hit/miss counters (demand and
+/// prefetch probes alike, see CacheHierarchyCounters).
 inline void digest(Digest& d, const OooResult& r) {
   d.add(std::uint64_t{r.threads});
   for (unsigned t = 0; t < r.threads; ++t) {

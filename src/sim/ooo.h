@@ -17,10 +17,8 @@
 //     = the 1/width issue quantum, so a cycle is exactly `width` ticks and
 //     every max/+ in the timing recurrence is exact integer arithmetic (all
 //     OooConfig latencies are unsigned; 1/width is the only fractional
-//     quantum in the model). Pipeline state is structure-of-arrays: flat
-//     tick rings with power-of-two masks, parallel per-thread scalar
-//     arrays. It also attributes stall cycles (fetch bandwidth, redirects,
-//     ROB/IQ/LQ/SQ occupancy) per thread.
+//     quantum in the model). It also attributes stall cycles (fetch
+//     bandwidth, redirects, ROB/IQ/LQ/SQ occupancy) per thread.
 //   * OooCoreRefT — the retained double-precision reference core, the
 //     original AoS implementation kept verbatim so equivalence is asserted,
 //     not assumed: for power-of-two widths every double the reference
@@ -28,6 +26,23 @@
 //     cycles/IPC match it bit-for-bit and BranchStats are identical by
 //     construction (tests/integration/ooo_typed_equivalence_test.cc,
 //     tests/sim/ooo_core_test.cc).
+//
+// Both cores step the threads round-robin: round j is thread 0's j-th
+// instruction, then thread 1's ((j, t) order). The reference core runs each
+// step to the end before the next; the tick core runs up to kChunk rounds
+// at a time as four passes:
+//   1. fill — copy the chunk's instructions into per-core SoA buffers (bulk
+//      from a borrowed InstrBlock, or next() per record) and list its
+//      memory ops and branches in (j, t) order;
+//   2. cache — CacheHierarchy::load_latency over the memory-op list;
+//   3. BPU — on_switch/access (and statistics while measuring) over the
+//      branch list;
+//   4. timing — the tick recurrence over every step in (j, t) order.
+// The split is exact: the cache and the BPU share no state, each still sees
+// its accesses in (j, t) order, and the timing recurrence only reads their
+// results (a load's latency, a branch's mispredict bit). The round alone
+// decides warm-up or measurement, so a chunk stops at that boundary, where
+// the stall counters (kept on every step) are snapshotted for subtraction.
 #pragma once
 
 #include <algorithm>
@@ -35,6 +50,7 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "bpu/predictor.h"
@@ -108,9 +124,10 @@ struct OooResult {
   /// Stall attribution (tick core only; the double reference core leaves
   /// these zero — it predates the counters and stays the unadorned spec).
   std::array<OooThreadStalls, kMaxSmtThreads> stalls{};
-  /// Demand hit/miss counters of the core's cache hierarchy over the whole
-  /// run (warm-up included) — the cache simulation's fingerprint, asserted
-  /// bit-equal across core variants by the equivalence tests.
+  /// Hit/miss counters of the core's cache hierarchy over the whole run
+  /// (warm-up included), prefetch probes counted with demand accesses
+  /// (CacheHierarchyCounters) — the cache simulation's fingerprint,
+  /// asserted bit-equal across core variants by the equivalence tests.
   CacheHierarchyCounters cache{};
 
   [[nodiscard]] double ipc_harmonic_mean() const {
@@ -126,25 +143,18 @@ struct OooResult {
 };
 
 /// The production cycle-level core: integer fixed-point event timing over
-/// structure-of-arrays pipeline state.
+/// structure-of-arrays state, run a chunk of rounds per pass (file comment).
+/// A thread whose stream runs dry stops for good.
 ///
 /// Template over the BPU type: with the default interface type this is the
 /// classic polymorphic core; instantiated with a concrete engine type the
 /// per-branch access() devirtualizes like the trace replay loop.
-///
-/// Timing state is u64 ticks (1 tick = 1/width cycle): thread fetch/commit
-/// clocks, the shared SMT fetch/issue clocks, ring entries and the register
-/// scoreboard. Ring buffers live in one flat allocation per core —
-/// per thread a contiguous [ROB | IQ | LQ | SQ] block — with power-of-two
-/// capacities indexed by mask. Logical occupancy is preserved exactly: an
-/// entry for instruction n is written at (n & mask) and the occupancy
-/// constraint reads (n - logical_size) & mask, which is the commit/issue
-/// time written logical_size instructions ago (or the initial 0 while the
-/// structure is still filling) — bit-identical to the reference core's
-/// `ring[n % logical_size]` modulo rings.
 template <class Bpu = bpu::IPredictor>
 class OooCoreT {
  public:
+  /// Rounds per chunk (instruction-steps per thread per pass).
+  static constexpr std::size_t kChunk = 256;
+
   /// `bpu` is shared between all threads (that sharing is the attack
   /// surface and the performance coupling under study).
   OooCoreT(const OooConfig& cfg, Bpu* bpu, std::vector<trace::InstrStream*> threads);
@@ -156,6 +166,14 @@ class OooCoreT {
   [[nodiscard]] const CacheHierarchy& caches() const noexcept { return caches_; }
 
  private:
+  using Kind = trace::InstrRecord::Kind;
+  static constexpr unsigned kLoad = static_cast<unsigned>(Kind::kLoad);
+  static constexpr unsigned kStore = static_cast<unsigned>(Kind::kStore);
+  static constexpr unsigned kBranch = static_cast<unsigned>(Kind::kBranch);
+  static constexpr std::size_t kKinds = kBranch + 1;
+  static constexpr std::size_t kSlots = kMaxSmtThreads * kChunk;
+  static_assert(kSlots <= 0x10000, "chunk lists hold 16-bit slot numbers");
+
   /// Geometry of one ring structure: logical size (the architectural
   /// occupancy limit) and a power-of-two storage mask.
   struct RingGeom {
@@ -164,91 +182,86 @@ class OooCoreT {
     Tick mask = 0;     ///< pow2 storage capacity - 1
   };
 
-  /// SoA view of the fetched instruction — filled from the window block's
-  /// parallel arrays (pointer consumption, no InstrRecord reassembly) or
-  /// from the per-record scratch on the direct path. `branch` points into
-  /// the block's compacted branch payloads (or at scratch.branch) and is
-  /// valid until the next fetch.
-  struct Fetched {
-    trace::InstrRecord::Kind kind;
-    std::uint8_t dst, src1, src2;
-    bool streaming;
-    std::uint64_t mem_addr;
-    const bpu::BranchRecord* branch;  ///< non-null iff kind == kBranch
+  /// Stall attribution, in ticks.
+  struct StallTicks {
+    Tick fetch_bw = 0, redirect = 0, rob = 0, iq = 0, lq = 0, sq = 0;
   };
 
-  void step(unsigned t);
-  /// Pull the next instruction into the SoA view; false when the stream is
-  /// exhausted.
-  bool fetch_instr(unsigned t, trace::InstrRecord& scratch, Fetched& out);
-  /// Point the drained window at the stream's next run of its own SoA
-  /// block (contiguous streams only; see the constructor).
-  void refill_window(unsigned t);
+  /// One thread's timing-recurrence state (stalls of every step, warm-up
+  /// included).
+  struct ThreadClock {
+    Tick next_fetch = 0, redirect_until = 0, last_commit = 0;
+    std::uint64_t count = 0;
+    StallTicks stall;
+  };
 
-  [[nodiscard]] Tick* ring(unsigned t) noexcept {
-    return rings_.data() + std::size_t{t} * ring_stride_;
-  }
+  /// One chunk's instructions. Thread t's j-th step of the chunk is slot
+  /// t * kChunk + j; the lists hold slots in (j, t) order.
+  struct Chunk {
+    std::array<std::uint8_t, kSlots> kind, dst, src1, src2, streaming, mispredicted;
+    std::array<std::uint64_t, kSlots> mem_addr;
+    std::array<Tick, kSlots> lat;
+    /// Ring-block index of the memory-queue entry a step waits for and of
+    /// the one it writes (LQ for a load, SQ for a store, else zero/spare).
+    std::array<std::uint32_t, kSlots> mq_read, mq_write;
+    std::array<const bpu::BranchRecord*, kSlots> branch;
+    std::array<bpu::BranchRecord, kSlots> branch_copy;  ///< next()-fed streams
+    std::array<std::uint16_t, kSlots> mem_ops, branches;
+  };
+
+  /// Run `rounds` (<= kChunk) rounds through the four passes.
+  void run_chunk(std::size_t rounds, bool measuring);
+  /// Copy up to `rounds` instructions of thread t into its chunk slots;
+  /// returns how many the stream had.
+  std::size_t fill(unsigned t, std::size_t rounds);
+  /// The timing recurrence over the chunk, for NT (== nthreads_) threads:
+  /// with NT a constant, every thread's clock lives in registers.
+  template <unsigned NT>
+  void timing_pass(std::size_t rounds, const std::array<std::size_t, kMaxSmtThreads>& steps);
 
   OooConfig cfg_;
   Bpu* bpu_;
   CacheHierarchy caches_;
   unsigned nthreads_ = 1;
 
-  // Precomputed tick constants (cycles × width). lat_ticks_ slots 0-3 are
-  // indexed by InstrRecord::Kind directly (execute-stage lookup); branches
-  // take a separate slot since their Kind value overlaps kLoad's, which
-  // never reads the table. Pinned by static_asserts in the constructor.
-  static constexpr unsigned kBranchLatSlot = 4;
-  Tick depth_ticks_ = 0;
-  Tick penalty_ticks_ = 0;
-  Tick lat_ticks_[kBranchLatSlot + 1] = {};
+  // Precomputed tick constants (cycles × width). kind_lat_ is indexed by
+  // InstrRecord::Kind; the cache pass adds the load latency to a load's 0.
+  Tick depth_ticks_ = 0, penalty_ticks_ = 0;
+  std::array<Tick, kKinds> kind_lat_{};
 
   // --- SoA pipeline state: parallel arrays indexed by thread -------------
   std::array<trace::InstrStream*, kMaxSmtThreads> streams_{};
-  std::array<Tick, kMaxSmtThreads> next_fetch_{};
-  std::array<Tick, kMaxSmtThreads> redirect_until_{};
-  std::array<Tick, kMaxSmtThreads> last_commit_{};
-  std::array<Tick, kMaxSmtThreads> finish_tick_{};
-  std::array<Tick, kMaxSmtThreads> measure_start_{};
-  std::array<std::uint64_t, kMaxSmtThreads> count_{};
-  std::array<std::uint64_t, kMaxSmtThreads> loads_{};
-  std::array<std::uint64_t, kMaxSmtThreads> stores_{};
+  std::array<ThreadClock, kMaxSmtThreads> clock_{};
   std::array<std::uint64_t, kMaxSmtThreads> measured_{};
+  /// Loads and stores so far, per thread (index 0 = LQ, 1 = SQ).
+  std::array<std::array<std::uint64_t, 2>, kMaxSmtThreads> mq_count_{};
   std::array<bool, kMaxSmtThreads> done_{};
-  std::array<bool, kMaxSmtThreads> measuring_{};
   std::array<bool, kMaxSmtThreads> has_ctx_{};
   std::array<bpu::ExecContext, kMaxSmtThreads> last_ctx_{};
   std::array<BranchStats, kMaxSmtThreads> stats_{};
 
   /// Register scoreboard: ready tick per architectural register (slot 0 is
-  /// the "no dependency" register and stays 0 forever).
+  /// the "no dependency" register; every write to it is undone at once).
   std::array<std::array<Tick, kNumArchRegs + 1>, kMaxSmtThreads> reg_ready_{};
 
-  /// Measured-window stall attribution, in ticks.
-  struct StallTicks {
-    Tick fetch_bw = 0, redirect = 0, rob = 0, iq = 0, lq = 0, sq = 0;
-  };
-  std::array<StallTicks, kMaxSmtThreads> stall_ticks_{};
-
   /// All ring buffers, one flat allocation: thread t's block starts at
-  /// t × ring_stride_ and holds [ROB | IQ | LQ | SQ] back to back.
+  /// t × ring_stride_ and holds [ROB | IQ | LQ | SQ | spare | zero] back to
+  /// back, each ring with a power-of-two capacity. Instruction n writes its
+  /// entry at (n & mask) and waits for the one at (n - size) & mask: the
+  /// time written `size` instructions ago (0 while the ring fills), exactly
+  /// the reference core's `ring[n % size]`. Steps that are neither loads
+  /// nor stores write their memory-queue entry to the spare slot, never
+  /// read, and wait for the zero slot, never written.
   std::vector<Tick> rings_;
   Tick ring_stride_ = 0;
-  RingGeom rob_, iq_, lq_, sq_;
+  Tick spare_ = 0;
+  RingGeom rob_, iq_;
+  std::array<RingGeom, 2> mq_;  ///< LQ, SQ
 
   // Shared SMT clocks (one fetch port, one issue port, width per cycle).
-  Tick shared_fetch_tick_ = 0;
-  Tick shared_issue_tick_ = 0;
+  Tick shared_fetch_tick_ = 0, shared_issue_tick_ = 0;
 
-  // Windowed fetch: on contiguous streams each thread consumes its trace
-  // zero-copy from the stream's own SoA block, the window spanning
-  // [window_base_, window_base_ + window_size_) of `window_blk_`.
-  std::size_t window_cap_ = 0;
-  std::array<bool, kMaxSmtThreads> use_window_{};
-  std::array<const trace::InstrBlock*, kMaxSmtThreads> window_blk_{};
-  std::array<std::size_t, kMaxSmtThreads> window_base_{};
-  std::array<std::size_t, kMaxSmtThreads> window_pos_{};
-  std::array<std::size_t, kMaxSmtThreads> window_size_{};
+  std::unique_ptr<Chunk> chunk_ = std::make_unique<Chunk>();
 };
 
 /// Legacy dynamic-dispatch instantiation (compiled once in ooo.cc).
@@ -267,26 +280,14 @@ OooCoreT<Bpu>::OooCoreT(const OooConfig& cfg, Bpu* bpu,
          "the core models 1..kMaxSmtThreads hardware threads");
   nthreads_ = static_cast<unsigned>(threads.size());
 
-  // The Kind-indexed latency slots and the branch slot must not collide;
-  // a reordered Kind enum breaks here at compile time, not in cycle counts.
-  using Kind = trace::InstrRecord::Kind;
-  static_assert(static_cast<unsigned>(Kind::kAlu) == 0 &&
-                    static_cast<unsigned>(Kind::kMul) == 1 &&
-                    static_cast<unsigned>(Kind::kDiv) == 2 &&
-                    static_cast<unsigned>(Kind::kFp) == 3,
-                "execute-stage lookup indexes lat_ticks_ by Kind");
-  static_assert(static_cast<unsigned>(Kind::kLoad) == kBranchLatSlot,
-                "loads never read lat_ticks_, so their Kind value doubles as "
-                "the branch latency slot");
-
   const Tick w = cfg_.width;
   depth_ticks_ = Tick{cfg_.frontend_depth} * w;
   penalty_ticks_ = Tick{cfg_.mispredict_penalty} * w;
-  lat_ticks_[static_cast<unsigned>(Kind::kAlu)] = Tick{cfg_.lat_alu} * w;
-  lat_ticks_[static_cast<unsigned>(Kind::kMul)] = Tick{cfg_.lat_mul} * w;
-  lat_ticks_[static_cast<unsigned>(Kind::kDiv)] = Tick{cfg_.lat_div} * w;
-  lat_ticks_[static_cast<unsigned>(Kind::kFp)] = Tick{cfg_.lat_fp} * w;
-  lat_ticks_[kBranchLatSlot] = Tick{cfg_.lat_branch} * w;
+  static_assert(kLoad == 4 && kStore == 5 && kKinds == 7,
+                "kind_lat_ lists the kinds in InstrRecord::Kind order");
+  // A store's data is captured at once; its line is written back post-commit.
+  kind_lat_ = {Tick{cfg_.lat_alu} * w, Tick{cfg_.lat_mul} * w, Tick{cfg_.lat_div} * w,
+               Tick{cfg_.lat_fp} * w, 0, w, Tick{cfg_.lat_branch} * w};
 
   // Per-thread shares of the shared structures (same floor as the
   // reference core), stored with power-of-two capacity so the hot path
@@ -295,209 +296,219 @@ OooCoreT<Bpu>::OooCoreT(const OooConfig& cfg, Bpu* bpu,
     return std::max(floor_sz, total / nthreads_);
   };
   const auto geom = [](unsigned logical, Tick offset) {
-    RingGeom g;
-    g.offset = offset;
-    g.size = logical;
-    g.mask = std::bit_ceil(std::uint64_t{logical}) - 1;
-    return g;
+    return RingGeom{offset, logical, std::bit_ceil(std::uint64_t{logical}) - 1};
   };
   rob_ = geom(share(cfg_.rob, 8), 0);
   iq_ = geom(share(cfg_.iq, 4), rob_.mask + 1);
-  lq_ = geom(share(cfg_.lq, 4), iq_.offset + iq_.mask + 1);
-  sq_ = geom(share(cfg_.sq, 4), lq_.offset + lq_.mask + 1);
-  ring_stride_ = sq_.offset + sq_.mask + 1;
+  mq_[0] = geom(share(cfg_.lq, 4), iq_.offset + iq_.mask + 1);
+  mq_[1] = geom(share(cfg_.sq, 4), mq_[0].offset + mq_[0].mask + 1);
+  spare_ = mq_[1].offset + mq_[1].mask + 1;
+  ring_stride_ = spare_ + 2;
   rings_.assign(std::size_t{ring_stride_} * nthreads_, Tick{0});
 
   for (unsigned t = 0; t < nthreads_; ++t) streams_[t] = threads[t];
-
-  window_cap_ = std::max<std::size_t>(1, std::size_t{cfg_.frontend_depth} * cfg_.width);
-  // A stream that serves blocks from materialized storage is fetched
-  // through the window, which is then pure pointer consumption; any other
-  // stream is fetched record by record.
-  for (unsigned t = 0; t < nthreads_; ++t) use_window_[t] = streams_[t]->contiguous();
 }
 
 template <class Bpu>
-bool OooCoreT<Bpu>::fetch_instr(const unsigned t, trace::InstrRecord& scratch,
-                                Fetched& out) {
-  if (use_window_[t]) {
-    if (window_pos_[t] >= window_size_[t]) refill_window(t);
-    const std::size_t p = window_pos_[t];
-    if (p >= window_size_[t]) return false;
-    ++window_pos_[t];
-    const trace::InstrBlock& b = *window_blk_[t];
-    const std::size_t i = window_base_[t] + p;
-    out.kind = static_cast<trace::InstrRecord::Kind>(b.kind[i]);
-    out.dst = b.dst[i];
-    out.src1 = b.src1[i];
-    out.src2 = b.src2[i];
-    out.streaming = b.streaming[i] != 0;
-    out.mem_addr = b.mem_addr[i];
-    out.branch = out.kind == trace::InstrRecord::Kind::kBranch
-                     ? &b.branches[b.branch_before[i]]
-                     : nullptr;
-    return true;
-  }
-  if (!streams_[t]->next(scratch)) return false;
-  out.kind = scratch.kind;
-  out.dst = scratch.dst;
-  out.src1 = scratch.src1;
-  out.src2 = scratch.src2;
-  out.streaming = scratch.streaming;
-  out.mem_addr = scratch.mem_addr;
-  out.branch =
-      scratch.kind == trace::InstrRecord::Kind::kBranch ? &scratch.branch : nullptr;
-  return true;
-}
-
-template <class Bpu>
-void OooCoreT<Bpu>::refill_window(const unsigned t) {
-  std::size_t start = 0;
+std::size_t OooCoreT<Bpu>::fill(const unsigned t, const std::size_t rounds) {
+  Chunk& c = *chunk_;
+  const std::size_t base = std::size_t{t} * kChunk;
+  trace::InstrStream& stream = *streams_[t];
   std::size_t n = 0;
-  window_blk_[t] = streams_[t]->borrow_block(window_cap_, start, n);
-  window_base_[t] = start;
-  window_pos_[t] = 0;
-  window_size_[t] = window_blk_[t] == nullptr ? 0 : n;
+  if (stream.contiguous()) {
+    // The stream lends runs of its own SoA block; copy them.
+    while (n < rounds) {
+      std::size_t start = 0, got = 0;
+      const trace::InstrBlock* b = stream.borrow_block(rounds - n, start, got);
+      if (b == nullptr) break;
+      const std::size_t s = base + n;
+      std::copy_n(b->kind.data() + start, got, c.kind.data() + s);
+      std::copy_n(b->dst.data() + start, got, c.dst.data() + s);
+      std::copy_n(b->src1.data() + start, got, c.src1.data() + s);
+      std::copy_n(b->src2.data() + start, got, c.src2.data() + s);
+      std::copy_n(b->streaming.data() + start, got, c.streaming.data() + s);
+      std::copy_n(b->mem_addr.data() + start, got, c.mem_addr.data() + s);
+      // A non-branch's pointer is never read (it may be one past the end).
+      const bpu::BranchRecord* payloads = b->branches.data();
+      for (std::size_t i = 0; i < got; ++i) {
+        c.branch[s + i] = payloads + b->branch_before[start + i];
+      }
+      n += got;
+    }
+    return n;
+  }
+  trace::InstrRecord r;
+  for (; n < rounds && stream.next(r); ++n) {
+    const std::size_t s = base + n;
+    c.kind[s] = static_cast<std::uint8_t>(r.kind);
+    c.dst[s] = r.dst;
+    c.src1[s] = r.src1;
+    c.src2[s] = r.src2;
+    c.streaming[s] = r.streaming ? 1 : 0;
+    c.mem_addr[s] = r.mem_addr;
+    c.branch_copy[s] = r.branch;
+    c.branch[s] = &c.branch_copy[s];
+  }
+  return n;
 }
 
 template <class Bpu>
-void OooCoreT<Bpu>::step(const unsigned t) {
-  trace::InstrRecord scratch;
-  Fetched ins;
-  if (!fetch_instr(t, scratch, ins)) {
-    done_[t] = true;
-    finish_tick_[t] = last_commit_[t];
-    return;
+void OooCoreT<Bpu>::run_chunk(const std::size_t rounds, const bool measuring) {
+  Chunk& c = *chunk_;
+  // --- fill: this chunk's instructions, then its memory-op and branch
+  // lists in (j, t) order — the order the reference core accesses them in.
+  std::array<std::size_t, kMaxSmtThreads> steps{};  // per thread
+  for (unsigned t = 0; t < nthreads_; ++t) {
+    steps[t] = done_[t] ? 0 : fill(t, rounds);
+    done_[t] = steps[t] < rounds;
+    if (measuring) measured_[t] += steps[t];
   }
-  const bool measuring = measuring_[t];
-  StallTicks& stall = stall_ticks_[t];
-
-  // --- fetch: thread redirect stall + shared fetch bandwidth -------------
-  Tick fetch = next_fetch_[t];
-  if (redirect_until_[t] > fetch) {
-    if (measuring) stall.redirect += redirect_until_[t] - fetch;
-    fetch = redirect_until_[t];
-  }
-  if (shared_fetch_tick_ > fetch) {
-    if (measuring) stall.fetch_bw += shared_fetch_tick_ - fetch;
-    fetch = shared_fetch_tick_;
-  }
-  shared_fetch_tick_ = fetch + 1;
-  next_fetch_[t] = fetch;
-
-  // --- dispatch: ROB / IQ / LQ / SQ occupancy -----------------------------
-  // Each constraint is blamed for the delay it adds after the previous ones
-  // (pipeline order ROB → IQ → LQ → SQ), so the counters sum to the total
-  // dispatch stall without double counting.
-  Tick* rings = ring(t);
-  const std::uint64_t n = count_[t];
-  Tick dispatch = fetch + depth_ticks_;
-  {
-    const Tick v = rings[rob_.offset + ((n - rob_.size) & rob_.mask)];
-    if (v > dispatch) {
-      if (measuring) stall.rob += v - dispatch;
-      dispatch = v;
-    }
-  }
-  {
-    const Tick v = rings[iq_.offset + ((n - iq_.size) & iq_.mask)];
-    if (v > dispatch) {
-      if (measuring) stall.iq += v - dispatch;
-      dispatch = v;
-    }
-  }
-  const bool is_load = ins.kind == trace::InstrRecord::Kind::kLoad;
-  const bool is_store = ins.kind == trace::InstrRecord::Kind::kStore;
-  if (is_load) {
-    const Tick v = rings[lq_.offset + ((loads_[t] - lq_.size) & lq_.mask)];
-    if (v > dispatch) {
-      if (measuring) stall.lq += v - dispatch;
-      dispatch = v;
-    }
-  }
-  if (is_store) {
-    const Tick v = rings[sq_.offset + ((stores_[t] - sq_.size) & sq_.mask)];
-    if (v > dispatch) {
-      if (measuring) stall.sq += v - dispatch;
-      dispatch = v;
+  std::size_t mem_ops = 0, branches = 0;
+  for (std::size_t j = 0; j < rounds; ++j) {
+    for (unsigned t = 0; t < nthreads_; ++t) {
+      if (j >= steps[t]) continue;
+      const std::size_t s = std::size_t{t} * kChunk + j;
+      const unsigned kind = c.kind[s];
+      assert(kind < kKinds && "trace instruction kind out of range");
+      c.lat[s] = kind_lat_[kind];
+      c.mispredicted[s] = 0;
+      c.mq_read[s] = static_cast<std::uint32_t>(spare_ + 1);
+      c.mq_write[s] = static_cast<std::uint32_t>(spare_);
+      c.mem_ops[mem_ops] = static_cast<std::uint16_t>(s);
+      mem_ops += kind == kLoad || kind == kStore;
+      c.branches[branches] = static_cast<std::uint16_t>(s);
+      branches += kind == kBranch;
     }
   }
 
-  // --- issue: dataflow + shared issue bandwidth ---------------------------
-  assert(ins.dst <= kNumArchRegs && ins.src1 <= kNumArchRegs &&
-         ins.src2 <= kNumArchRegs && "trace register index exceeds kNumArchRegs");
-  const std::array<Tick, kNumArchRegs + 1>& regs = reg_ready_[t];
-  Tick ready = dispatch;
-  if (ins.src1 != 0) ready = std::max(ready, regs[ins.src1]);
-  if (ins.src2 != 0) ready = std::max(ready, regs[ins.src2]);
-  const Tick issue = std::max(ready, shared_issue_tick_);
-  shared_issue_tick_ = issue + 1;
-  rings[iq_.offset + (n & iq_.mask)] = issue;
+  // --- cache: loads take the hierarchy's latency; stores allocate on
+  // write and keep their fixed latency. Each op also takes its thread's
+  // next LQ (load) or SQ (store) entry.
+  const Tick width = cfg_.width;
+  for (std::size_t i = 0; i < mem_ops; ++i) {
+    const std::size_t s = c.mem_ops[i];
+    const Tick lat = caches_.load_latency(c.mem_addr[s], c.streaming[s] != 0);
+    const unsigned q = c.kind[s] == kStore;
+    c.lat[s] += lat * width * (1 - q);
+    const RingGeom& g = mq_[q];
+    std::uint64_t& count = mq_count_[s / kChunk][q];
+    c.mq_read[s] = static_cast<std::uint32_t>(g.offset + ((count - g.size) & g.mask));
+    c.mq_write[s] = static_cast<std::uint32_t>(g.offset + (count & g.mask));
+    ++count;
+  }
 
-  // --- execute ------------------------------------------------------------
-  Tick lat = lat_ticks_[0];
-  bool mispredicted = false;
-  bpu::AccessResult access{};
-  switch (ins.kind) {
-    case trace::InstrRecord::Kind::kAlu:
-    case trace::InstrRecord::Kind::kMul:
-    case trace::InstrRecord::Kind::kDiv:
-    case trace::InstrRecord::Kind::kFp:
-      lat = lat_ticks_[static_cast<unsigned>(ins.kind)];
-      break;
-    case trace::InstrRecord::Kind::kLoad:
-      lat = Tick{caches_.load_latency(ins.mem_addr, ins.streaming)} * cfg_.width;
-      break;
-    case trace::InstrRecord::Kind::kStore:
-      lat = Tick{1} * cfg_.width;  // data captured; line written back post-commit
-      caches_.load_latency(ins.mem_addr, ins.streaming);  // allocate-on-write
-      break;
-    case trace::InstrRecord::Kind::kBranch: {
-      lat = lat_ticks_[kBranchLatSlot];
-      bpu::BranchRecord br = *ins.branch;
-      br.ctx.hart = static_cast<std::uint8_t>(t);  // hart assigned by the core
-      if (has_ctx_[t] && !(last_ctx_[t] == br.ctx)) {
-        bpu_->on_switch(last_ctx_[t], br.ctx);
-        if (measuring) {
-          if (last_ctx_[t].pid != br.ctx.pid) {
-            ++stats_[t].context_switches;
-          } else {
-            ++stats_[t].mode_switches;
-          }
-        }
+  // --- BPU: the shared predictor sees every branch in (j, t) order.
+  for (std::size_t i = 0; i < branches; ++i) {
+    const std::size_t s = c.branches[i];
+    const unsigned t = static_cast<unsigned>(s / kChunk);
+    bpu::BranchRecord br = *c.branch[s];
+    br.ctx.hart = static_cast<std::uint8_t>(t);  // hart assigned by the core
+    if (has_ctx_[t] && !(last_ctx_[t] == br.ctx)) {
+      bpu_->on_switch(last_ctx_[t], br.ctx);
+      if (measuring) {
+        ++(last_ctx_[t].pid != br.ctx.pid ? stats_[t].context_switches
+                                          : stats_[t].mode_switches);
       }
-      last_ctx_[t] = br.ctx;
-      has_ctx_[t] = true;
-      access = bpu_->access(br);
-      mispredicted = !access.overall_correct;
-      if (measuring) stats_[t].absorb(br, access);
-      break;
+    }
+    last_ctx_[t] = br.ctx;
+    has_ctx_[t] = true;
+    const bpu::AccessResult access = bpu_->access(br);
+    c.mispredicted[s] = access.overall_correct ? 0 : 1;
+    if (measuring) stats_[t].absorb(br, access);
+  }
+
+  if (nthreads_ == 1) {
+    timing_pass<1>(rounds, steps);
+  } else {
+    timing_pass<kMaxSmtThreads>(rounds, steps);
+  }
+}
+
+/// The delay `until` adds to an event at `at`, charged to `stall`.
+inline Tick stall_until(const Tick at, const Tick until, Tick& stall) {
+  const Tick t = std::max(at, until);
+  stall += t - at;
+  return t;
+}
+
+template <class Bpu>
+template <unsigned NT>
+void OooCoreT<Bpu>::timing_pass(const std::size_t rounds,
+                                const std::array<std::size_t, kMaxSmtThreads>& steps) {
+  const Chunk& c = *chunk_;
+  // State in locals, which the ring and scoreboard stores cannot alias.
+  std::array<ThreadClock, NT> clock;
+  std::copy_n(clock_.begin(), NT, clock.begin());
+  Tick shared_fetch = shared_fetch_tick_;
+  Tick shared_issue = shared_issue_tick_;
+  const RingGeom rob = rob_, iq = iq_;
+  const Tick depth = depth_ticks_, penalty = penalty_ticks_;
+  Tick* const all_rings = rings_.data();
+  const Tick stride = ring_stride_;
+
+  for (std::size_t j = 0; j < rounds; ++j) {
+    for (unsigned t = 0; t < NT; ++t) {
+      if (j >= steps[t]) continue;
+      const std::size_t s = std::size_t{t} * kChunk + j;
+      ThreadClock& k = clock[t];
+      StallTicks& stall = k.stall;
+      Tick* const rings = all_rings + t * stride;
+      Tick* const regs = reg_ready_[t].data();
+      const bool is_store = c.kind[s] == kStore;
+
+      // --- fetch: thread redirect stall + shared fetch bandwidth ---------
+      Tick fetch = stall_until(k.next_fetch, k.redirect_until, stall.redirect);
+      fetch = stall_until(fetch, shared_fetch, stall.fetch_bw);
+      shared_fetch = fetch + 1;
+      k.next_fetch = fetch;
+
+      // --- dispatch: ROB / IQ / LQ / SQ occupancy -------------------------
+      // Each constraint is blamed for the delay it adds after the previous
+      // ones (pipeline order ROB → IQ → LQ → SQ), so the counters sum to
+      // the total dispatch stall without double counting. A step waits on
+      // at most one of LQ and SQ.
+      const std::uint64_t n = k.count;
+      Tick dispatch = fetch + depth;
+      dispatch = stall_until(dispatch, rings[rob.offset + ((n - rob.size) & rob.mask)], stall.rob);
+      dispatch = stall_until(dispatch, rings[iq.offset + ((n - iq.size) & iq.mask)], stall.iq);
+      const Tick mq_ready = std::max(dispatch, rings[c.mq_read[s]]);
+      const Tick store_mask = Tick{0} - is_store;
+      stall.lq += (mq_ready - dispatch) & ~store_mask;
+      stall.sq += (mq_ready - dispatch) & store_mask;
+      dispatch = mq_ready;
+
+      // --- issue: dataflow + shared issue bandwidth (register 0 reads 0) --
+      assert(c.dst[s] <= kNumArchRegs && c.src1[s] <= kNumArchRegs &&
+             c.src2[s] <= kNumArchRegs && "trace register index exceeds kNumArchRegs");
+      const Tick ready = std::max({dispatch, regs[c.src1[s]], regs[c.src2[s]]});
+      const Tick issue = std::max(ready, shared_issue);
+      shared_issue = issue + 1;
+      rings[iq.offset + (n & iq.mask)] = issue;
+
+      // --- execute --------------------------------------------------------
+      const Tick complete = issue + c.lat[s];
+      regs[c.dst[s]] = complete;
+      regs[0] = 0;
+
+      // --- resolve branches: a mispredict squashes the front end, which
+      // refills from the correct path once the branch resolves (younger
+      // wrong-path work is penalty-modelled). Rare, so a branch, not a select.
+      if (c.mispredicted[s]) {
+        k.redirect_until = std::max(k.redirect_until, complete + penalty);
+      }
+
+      // --- commit: in order, width per cycle ------------------------------
+      const Tick commit = std::max(complete, k.last_commit + 1);
+      k.last_commit = commit;
+      rings[rob.offset + (n & rob.mask)] = commit;
+      // A load's LQ entry frees at completion, a store's SQ entry at commit.
+      rings[c.mq_write[s]] = is_store ? commit : complete;
+      k.count = n + 1;
     }
   }
-  const Tick complete = issue + lat;
-  if (ins.dst != 0) reg_ready_[t][ins.dst] = complete;
-  if (is_load) {
-    rings[lq_.offset + (loads_[t] & lq_.mask)] = complete;
-    ++loads_[t];
-  }
-
-  // --- resolve branches ----------------------------------------------------
-  if (mispredicted) {
-    // Squash: the front end refills from the correct path once the branch
-    // resolves; younger wrong-path work is abandoned (penalty-modelled).
-    redirect_until_[t] = std::max(redirect_until_[t], complete + penalty_ticks_);
-  }
-
-  // --- commit: in order, width per cycle ----------------------------------
-  const Tick commit = std::max(complete, last_commit_[t] + 1);
-  last_commit_[t] = commit;
-  rings[rob_.offset + (n & rob_.mask)] = commit;
-  if (is_store) {
-    rings[sq_.offset + (stores_[t] & sq_.mask)] = commit;
-    ++stores_[t];
-  }
-  ++count_[t];
-  if (measuring) ++measured_[t];
+  std::copy_n(clock.begin(), NT, clock_.begin());
+  shared_fetch_tick_ = shared_fetch;
+  shared_issue_tick_ = shared_issue;
 }
 
 template <class Bpu>
@@ -505,52 +516,40 @@ OooResult OooCoreT<Bpu>::run(std::uint64_t instr_budget, std::uint64_t warmup) {
   OooResult result;
   result.threads = nthreads_;
 
-  // Warm up all threads (round-robin so SMT contention is realistic).
-  for (std::uint64_t i = 0; i < warmup; ++i) {
-    for (unsigned t = 0; t < nthreads_; ++t) {
-      if (!done_[t]) step(t);
+  // Round-robin rounds (so SMT contention is realistic), chunk by chunk,
+  // until every thread has its share or has run dry.
+  const auto run_rounds = [&](std::uint64_t rounds, bool measuring) {
+    const auto live = [&] { return std::count(done_.begin(), done_.begin() + nthreads_, false); };
+    while (rounds > 0 && live() > 0) {
+      const std::size_t r = static_cast<std::size_t>(std::min<std::uint64_t>(rounds, kChunk));
+      run_chunk(r, measuring);
+      rounds -= r;
     }
-  }
-  for (unsigned t = 0; t < nthreads_; ++t) {
-    measuring_[t] = true;
-    measure_start_[t] = last_commit_[t];
-  }
-
-  // Measured window: run each thread to its budget. Fine-grain round-robin
-  // keeps the shared-BPU access interleaving honest while both run.
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (unsigned t = 0; t < nthreads_; ++t) {
-      if (!done_[t] && measured_[t] < instr_budget) {
-        step(t);
-        progress = true;
-      } else if (!done_[t] && finish_tick_[t] == 0) {
-        finish_tick_[t] = last_commit_[t];
-      }
-    }
-  }
+  };
+  run_rounds(warmup, false);
+  // Measurement boundary: the stall counters ran through warm-up too.
+  const std::array<ThreadClock, kMaxSmtThreads> start = clock_;
+  run_rounds(instr_budget, true);
 
   // Report: cycles/IPC reconstructed from ticks. For power-of-two widths
   // tick/width is an exact double, so these match the reference core
   // bit-for-bit; for other widths the tick numbers are the *more* exact
-  // ones (the reference accumulates 1/width rounding).
-  const double scale = static_cast<double>(cfg_.width);
+  // ones (the reference accumulates 1/width rounding). A thread finishes
+  // at its last commit, whether it reached its budget or ran dry.
+  const auto cyc = [&](Tick end, Tick begin) { return static_cast<double>(end - begin) / cfg_.width; };
   for (unsigned t = 0; t < nthreads_; ++t) {
-    if (finish_tick_[t] == 0) finish_tick_[t] = last_commit_[t];
-    const Tick ticks = finish_tick_[t] - measure_start_[t];
-    const double cycles = std::max(1.0, static_cast<double>(ticks) / scale);
+    const StallTicks &s = clock_[t].stall, &s0 = start[t].stall;
+    const double cycles = std::max(1.0, cyc(clock_[t].last_commit, start[t].last_commit));
     result.instructions[t] = measured_[t];
     result.cycles[t] = cycles;
     result.ipc[t] = static_cast<double>(measured_[t]) / cycles;
     result.branch_stats[t] = stats_[t];
-    const StallTicks& s = stall_ticks_[t];
-    result.stalls[t] = {.fetch_bandwidth = static_cast<double>(s.fetch_bw) / scale,
-                        .redirect = static_cast<double>(s.redirect) / scale,
-                        .rob = static_cast<double>(s.rob) / scale,
-                        .iq = static_cast<double>(s.iq) / scale,
-                        .lq = static_cast<double>(s.lq) / scale,
-                        .sq = static_cast<double>(s.sq) / scale};
+    result.stalls[t] = {.fetch_bandwidth = cyc(s.fetch_bw, s0.fetch_bw),
+                        .redirect = cyc(s.redirect, s0.redirect),
+                        .rob = cyc(s.rob, s0.rob),
+                        .iq = cyc(s.iq, s0.iq),
+                        .lq = cyc(s.lq, s0.lq),
+                        .sq = cyc(s.sq, s0.sq)};
   }
   result.cache = caches_.counters();
   return result;

@@ -7,8 +7,8 @@
 //
 // The generator fills a structure-of-arrays InstrBlock in one call
 // (next_block, which trace/pregen.h uses to materialize a whole run), and
-// borrow_block() exposes already-materialized blocks zero-copy — the OoO
-// cores' fetch windows consume pregenerated traces by pointer,
+// borrow_block() exposes already-materialized blocks zero-copy — the tick
+// OoO core copies pregenerated traces out of them chunk by chunk,
 // regenerating nothing.
 #pragma once
 
@@ -136,7 +136,7 @@ class InstrStream {
   }
 
   /// True when borrow_block() serves from materialized storage — the signal
-  /// the OoO cores use to fetch through the zero-copy window.
+  /// the tick OoO core uses to fill its chunks from borrowed blocks.
   [[nodiscard]] virtual bool contiguous() const noexcept { return false; }
 };
 

@@ -5,8 +5,8 @@
 // each run was ~25% of the OoO step cost (ROADMAP gprof profile). An
 // InstrTrace is generated ONCE per (profile name, seed, count) and every
 // run replays it through an InstrTraceStream cursor whose borrow_block()
-// hands the core's fetch window pointers straight into the shared SoA
-// arrays — zero copies, zero RNG draws, bit-identical records by
+// hands the core pointers straight into the shared SoA arrays, which it
+// bulk-copies a chunk at a time — zero RNG draws, bit-identical records by
 // construction (the artifact is filled by the same SyntheticInstrGenerator
 // the on-the-fly path runs; tests/trace/instr_block_test.cc asserts
 // equality record by record and through the cores).

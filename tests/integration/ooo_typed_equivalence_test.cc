@@ -43,7 +43,7 @@ void expect_identical_results(const sim::OooResult& iface, const sim::OooResult&
     EXPECT_EQ(iface.ipc[t], typed.ipc[t]) << label;
     EXPECT_EQ(iface.branch_stats[t], typed.branch_stats[t]) << label;
   }
-  // The cache hierarchy's demand counters are part of the contract: the
+  // The cache hierarchy's hit/miss counters are part of the contract: the
   // interleaved metadata layout must make the same hit/miss/evict
   // decisions in every core variant.
   EXPECT_EQ(iface.cache, typed.cache) << label;
@@ -85,8 +85,8 @@ void expect_single_equivalent(const models::ModelSpec& spec) {
   expect_identical_results(ref_typed, typed_result, spec);
 
   // Pregenerated-stream arm: the same engine-typed tick core fed by a
-  // cursor over the whole-run SoA artifact, consumed by pointer through
-  // the fetch window — the blocks must be pure transport. Stall
+  // cursor over the whole-run SoA artifact, filled from borrowed blocks —
+  // the blocks must be pure transport. Stall
   // attribution is compared too (both arms run the tick core).
   sim::OooResult pregen_result{};
   const auto artifact = trace::shared_instr_trace(trace::profile_by_name("mcf"),

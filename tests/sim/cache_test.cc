@@ -209,5 +209,43 @@ TEST(CacheInterleaved, HierarchyLatenciesAndCountersUnchanged) {
   EXPECT_GT(counters.l1d_misses, 0u);  // the pattern actually misses
 }
 
+TEST(Cache, CountersIncludePrefetchProbes) {
+  // The counters count every probe of a level, not only demand accesses. A
+  // streaming access first probes the next line for the prefetcher, so it
+  // adds two L1 probes where a plain access adds one. Every L1 miss probes
+  // L2, prefetch or demand alike; a demand access probes the LLC on an L2
+  // miss, a prefetch on every L1 miss.
+  sim::CacheHierarchy hier;
+  constexpr std::uint64_t kBase = 0x7000'0000ULL;
+  constexpr std::uint64_t kLine = sim::CacheLevel::kLineBytes;
+
+  // Cold streaming access: the prefetch of the next line and the demand
+  // access both miss every level.
+  hier.load_latency(kBase, /*streaming=*/true);
+  auto c = hier.counters();
+  EXPECT_EQ(c.l1d_misses, 2u);
+  EXPECT_EQ(c.l1d_hits, 0u);
+  EXPECT_EQ(c.l2_misses, 2u);
+  EXPECT_EQ(c.llc_misses, 2u);
+  // The prefetched line is then a demand hit.
+  EXPECT_EQ(hier.load_latency(kBase + kLine), sim::CacheHierarchyConfig{}.l1d.latency);
+  c = hier.counters();
+  EXPECT_EQ(c.l1d_hits, 1u);
+
+  // A mix of plain and streaming accesses: L1 probes = accesses + streaming.
+  util::Xoshiro256 rng(7);
+  std::uint64_t accesses = 2, streaming = 1;
+  for (int i = 0; i < 5'000; ++i) {
+    const bool s = rng.chance(0.1);
+    hier.load_latency(kBase + (rng.below(1u << 24) & ~std::uint64_t{7}), s);
+    ++accesses;
+    streaming += s ? 1 : 0;
+  }
+  c = hier.counters();
+  EXPECT_EQ(c.l1d_hits + c.l1d_misses, accesses + streaming);
+  EXPECT_EQ(c.l2_hits + c.l2_misses, c.l1d_misses);
+  EXPECT_GT(c.llc_hits + c.llc_misses, c.l2_misses);
+}
+
 }  // namespace
 }  // namespace stbpu

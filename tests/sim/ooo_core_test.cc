@@ -10,10 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
+#include "sim/digest.h"
 #include "sim/ooo.h"
 #include "trace/instr.h"
+#include "trace/pregen.h"
 #include "trace/profile.h"
 
 namespace stbpu {
@@ -22,8 +26,8 @@ namespace {
 using trace::InstrRecord;
 
 /// Deterministic BPU: mispredicts exactly the accesses whose ordinal (from
-/// 0) appears in `mispredict_every` steps. Fed by generator streams, so
-/// the core's per-record (window-less) fetch path is exercised.
+/// 0) appears in `mispredict_every` steps. Mostly fed by generator streams,
+/// so the core's per-record fill path is exercised.
 struct ScriptedBpu {
   std::uint64_t accesses = 0;
   std::uint64_t mispredict_every = 0;  ///< 0 = always correct
@@ -187,7 +191,16 @@ TEST(OooCoreTiming, MatchesDoubleReferenceAcrossPowerOfTwoWidths) {
   // The integerization claim, exercised beyond the default width: for any
   // power-of-two width every double the reference core computes is an
   // exact multiple of 1/width, so ticks/width must reproduce it bit-for-bit.
-  for (const unsigned width : {1u, 2u, 4u, 8u, 16u}) {
+  // The tick core's digest per width is pinned as well.
+  struct WidthDigest {
+    unsigned width;
+    std::uint64_t digest;
+  };
+  for (const auto [width, golden] : {WidthDigest{1, 0x3ae1274b97f8dfc6ULL},
+                                     WidthDigest{2, 0x76ed504c75c72027ULL},
+                                     WidthDigest{4, 0x506ebcb375fb39c2ULL},
+                                     WidthDigest{8, 0x4b2200f1eb7f381aULL},
+                                     WidthDigest{16, 0x6827bdb2845e3dfeULL}}) {
     sim::OooConfig cfg;
     cfg.width = width;
 
@@ -205,6 +218,8 @@ TEST(OooCoreTiming, MatchesDoubleReferenceAcrossPowerOfTwoWidths) {
     EXPECT_EQ(tick.cycles[0], ref.cycles[0]) << "width=" << width;
     EXPECT_EQ(tick.ipc[0], ref.ipc[0]) << "width=" << width;
     EXPECT_EQ(tick.branch_stats[0], ref.branch_stats[0]) << "width=" << width;
+    EXPECT_EQ(sim::digest_of(tick), golden)
+        << "width=" << width << " digest 0x" << std::hex << sim::digest_of(tick);
   }
 }
 
@@ -229,6 +244,8 @@ TEST(OooCoreTiming, NonPowerOfTwoWidthKeepsStatsAndTracksReferenceClosely) {
   EXPECT_EQ(tick.instructions[0], ref.instructions[0]);
   EXPECT_EQ(tick.branch_stats[0], ref.branch_stats[0]);
   EXPECT_NEAR(tick.cycles[0] / ref.cycles[0], 1.0, 1e-9);
+  EXPECT_EQ(sim::digest_of(tick), 0x927069a82e13d62aULL)
+      << "digest 0x" << std::hex << sim::digest_of(tick);
 }
 
 TEST(OooCoreTiming, StallAttributionIsBoundedAndDeterministic) {
@@ -253,6 +270,136 @@ TEST(OooCoreTiming, StallAttributionIsBoundedAndDeterministic) {
   }
   EXPECT_GT(s.redirect, 0.0) << "a 1-in-9 mispredict stream must redirect";
   EXPECT_EQ(run_once().stalls[0], s) << "integer ticks: exactly reproducible";
+}
+
+// --- What ends a run before warm-up + budget -------------------------------
+// A stream that runs dry stops its thread for good; the others keep their
+// round-robin order. Each case runs the tick core twice (zero-copy block
+// stream and record-by-record stream over the same instructions) and the
+// double reference core once, requires field-by-field agreement, and pins
+// the tick core's digest (stalls and cache counters included).
+
+/// The tick core's chunk length J, which the boundary rows are placed
+/// around (their digests were recorded with J = 256).
+constexpr std::uint64_t kJ = sim::OooCoreT<>::kChunk;
+
+using TracePtr = std::shared_ptr<const trace::InstrTrace>;
+
+TracePtr finite_trace(const char* profile, std::uint64_t n) {
+  return trace::generate_instr_trace(trace::profile_by_name(profile), n);
+}
+
+std::vector<InstrRecord> records_of(const TracePtr& tr) {
+  std::vector<InstrRecord> recs;
+  for (std::size_t i = 0; i < tr->size(); ++i) recs.push_back(tr->block.record(i));
+  return recs;
+}
+
+sim::OooResult run_finite(const std::vector<TracePtr>& traces, std::uint64_t budget,
+                          std::uint64_t warmup, const std::string& label) {
+  constexpr std::uint64_t kMispredictEvery = 7;
+  std::vector<trace::InstrTraceStream> blocks;
+  std::vector<ScriptedStream> records;
+  std::vector<trace::InstrTraceStream> ref_streams;
+  for (const TracePtr& tr : traces) {
+    blocks.emplace_back(tr);
+    records.emplace_back(records_of(tr));
+    ref_streams.emplace_back(tr);
+  }
+  const auto ptrs = [](auto& streams) {
+    std::vector<trace::InstrStream*> v;
+    for (auto& s : streams) v.push_back(&s);
+    return v;
+  };
+
+  ScriptedBpu bpu_block{.mispredict_every = kMispredictEvery};
+  const sim::OooResult tick =
+      sim::run_ooo({}, bpu_block, ptrs(blocks), budget, warmup);
+  ScriptedBpu bpu_record{.mispredict_every = kMispredictEvery};
+  const sim::OooResult tick_records =
+      sim::run_ooo({}, bpu_record, ptrs(records), budget, warmup);
+  ScriptedBpu bpu_ref{.mispredict_every = kMispredictEvery};
+  const sim::OooResult ref =
+      sim::run_ooo_ref({}, bpu_ref, ptrs(ref_streams), budget, warmup);
+
+  EXPECT_EQ(sim::digest_of(tick), sim::digest_of(tick_records)) << label;
+  EXPECT_EQ(bpu_block.accesses, bpu_ref.accesses) << label;
+  EXPECT_EQ(tick.threads, ref.threads) << label;
+  for (unsigned t = 0; t < tick.threads; ++t) {
+    EXPECT_EQ(tick.instructions[t], ref.instructions[t]) << label << " t=" << t;
+    EXPECT_EQ(tick.cycles[t], ref.cycles[t]) << label << " t=" << t;
+    EXPECT_EQ(tick.ipc[t], ref.ipc[t]) << label << " t=" << t;
+    EXPECT_EQ(tick.branch_stats[t], ref.branch_stats[t]) << label << " t=" << t;
+  }
+  EXPECT_EQ(tick.cache, ref.cache) << label;
+  return tick;
+}
+
+TEST(OooCoreTiming, StreamEndingDuringWarmupMeasuresNothing) {
+  const auto r = run_finite({finite_trace("mcf", 700)}, 2'000, 1'000, "dry in warm-up");
+  EXPECT_EQ(sim::digest_of(r), 0xd0f0daa8cc31b9fdULL) << std::hex << sim::digest_of(r);
+  EXPECT_EQ(r.instructions[0], 0u);
+  EXPECT_EQ(r.cycles[0], 1.0);
+  EXPECT_EQ(r.branch_stats[0].branches, 0u);
+  EXPECT_EQ(r.stalls[0], sim::OooThreadStalls{});
+}
+
+TEST(OooCoreTiming, StreamEndingMidMeasurementStopsTheThread) {
+  const auto r = run_finite({finite_trace("mcf", 2'500)}, 5'000, 1'000, "dry mid-measurement");
+  EXPECT_EQ(sim::digest_of(r), 0x4b26ae5782274734ULL) << std::hex << sim::digest_of(r);
+  EXPECT_EQ(r.instructions[0], 1'500u);
+}
+
+TEST(OooCoreTiming, SmtSecondThreadRunningDryLeavesTheFirstRunning) {
+  const auto r = run_finite({finite_trace("mcf", 6'000), finite_trace("leela", 2'600)}, 4'000,
+                            1'000, "SMT, thread 1 dry");
+  EXPECT_EQ(sim::digest_of(r), 0x95d31491f8939b71ULL) << std::hex << sim::digest_of(r);
+  EXPECT_EQ(r.instructions[0], 4'000u);
+  EXPECT_EQ(r.instructions[1], 1'600u);
+}
+
+TEST(OooCoreTiming, SmtFirstThreadRunningDryLeavesTheSecondRunning) {
+  const auto r = run_finite({finite_trace("leela", 1'900), finite_trace("mcf", 6'000)}, 4'000,
+                            1'000, "SMT, thread 0 dry");
+  EXPECT_EQ(sim::digest_of(r), 0xc8abb8e968031790ULL) << std::hex << sim::digest_of(r);
+  EXPECT_EQ(r.instructions[0], 900u);
+  EXPECT_EQ(r.instructions[1], 4'000u);
+}
+
+TEST(OooCoreTiming, WarmupAndBudgetAroundChunkBoundaries) {
+  // Warm-up and budget of 0, 1, J-1, J and J+1 instructions, each against
+  // a budget (or warm-up) that is not a multiple of J; plus two SMT rows.
+  struct Row {
+    std::uint64_t warmup, budget;
+    unsigned threads;
+    std::uint64_t digest;
+  };
+  const Row rows[] = {
+      {0, 0, 1, 0xf712e31fd04f90d9ULL},
+      {0, 3 * kJ + 7, 1, 0x3cd908203b4e1634ULL},
+      {1, 3 * kJ + 7, 1, 0x83048272cd3fda8cULL},
+      {kJ - 1, 3 * kJ + 7, 1, 0x6484ed8201bf983dULL},
+      {kJ, 3 * kJ + 7, 1, 0x417d07a2ec913112ULL},
+      {kJ + 1, 3 * kJ + 7, 1, 0xc09d42dbd464d092ULL},
+      {2 * kJ + 5, 0, 1, 0x542615e88a4996f1ULL},
+      {2 * kJ + 5, 1, 1, 0x637ee5804f17357dULL},
+      {2 * kJ + 5, kJ - 1, 1, 0x4b1fc1a00f125d27ULL},
+      {2 * kJ + 5, kJ, 1, 0x568015c6991b9b6eULL},
+      {2 * kJ + 5, kJ + 1, 1, 0x769f70a4ec6e57ecULL},
+      {kJ + 1, kJ - 1, 2, 0x84888ed77ad87462ULL},
+      {kJ, kJ + 1, 2, 0xbb01e924ed9af654ULL},
+  };
+  const TracePtr mcf = finite_trace("mcf", 6 * kJ);
+  const TracePtr bwaves = finite_trace("bwaves", 6 * kJ);
+  for (const Row& row : rows) {
+    std::vector<TracePtr> traces(row.threads, mcf);
+    if (row.threads == 2) traces[1] = bwaves;
+    const std::string label = "warmup=" + std::to_string(row.warmup) +
+                              " budget=" + std::to_string(row.budget) +
+                              " threads=" + std::to_string(row.threads);
+    const std::uint64_t d = sim::digest_of(run_finite(traces, row.budget, row.warmup, label));
+    EXPECT_EQ(d, row.digest) << label << " digest 0x" << std::hex << d;
+  }
 }
 
 TEST(OooCoreTiming, ArchitecturalRegisterCountIsNamed) {

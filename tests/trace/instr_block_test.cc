@@ -152,8 +152,8 @@ void expect_same_result(const sim::OooResult& gen_r, const sim::OooResult& pre_r
 }
 
 TEST(InstrBlock, PregenThroughTickCoreBitIdentical) {
-  // The core consumes the pregenerated stream by pointer through its fetch
-  // window and the generator record by record; everything the simulation
+  // The core fills its chunks from the pregenerated stream's borrowed
+  // blocks and from the generator record by record; everything the simulation
   // computes, stalls included, must match between the two fetch paths.
   constexpr std::uint64_t kBudget = 15'000, kWarmup = 1'500;
   const auto profile = trace::profile_by_name("mcf");
@@ -213,7 +213,7 @@ TEST(InstrBlock, PregenSmtInterleaveBitIdentical) {
   EXPECT_EQ(gen_r.ipc_harmonic_mean(), pre_r.ipc_harmonic_mean());
 
   // Mixed sources — thread 0 pregenerated, thread 1 live — must also be
-  // identical: the window policy is per thread.
+  // identical: the fill path is chosen per thread.
   ASSERT_TRUE(exp::for_each_engine(spec, [&](auto& engine) {
     trace::InstrTraceStream s0(a0);
     trace::SyntheticInstrGenerator g1(p1);
