@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "attacks/table1.h"
+#include "exp/engine_visit.h"
 #include "models/engine.h"
 #include "models/models.h"
 #include "sim/ooo.h"
@@ -27,10 +28,11 @@ TEST(Integration, SimulatorConsistencySklCond) {
     const auto trace_stats = models::replay_engine(
         *m1, branch_gen, {.max_branches = 150'000, .warmup_branches = 20'000});
 
-    auto m2 = models::make_engine({});
     trace::SyntheticInstrGenerator instr_gen(profile);
-    sim::OooCore core({}, m2.get(), {&instr_gen});
-    const auto ooo = core.run(400'000, 40'000);
+    sim::OooResult ooo;
+    ASSERT_TRUE(exp::for_each_engine({}, [&](auto& engine) {
+      ooo = sim::run_ooo({}, engine, {&instr_gen}, 400'000, 40'000);
+    }));
 
     total_diff +=
         std::abs(trace_stats.direction_rate() - ooo.branch_stats[0].direction_rate());

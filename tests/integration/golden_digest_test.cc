@@ -10,9 +10,13 @@
 //            a generator stream (SoA batch-refill path) must give the same
 //            digest, so it has no column of its own.
 //   ooo    — xz through the cycle-level core, engine-typed via
-//            for_each_engine.
+//            for_each_engine, fed by a generator (the core fills its
+//            chunks record by record). The same run fed by an
+//            InstrTraceStream over a pregenerated trace (the core copies
+//            borrowed SoA blocks) must give the same digest.
 //   smt    — bwaves + mcf sharing one predictor on the cycle-level core,
-//            under aggressive re-keying.
+//            under aggressive re-keying; generators and pregenerated
+//            traces must agree as for ooo.
 //   rekey  — mcf replay with monitor thresholds of a few events, so
 //            token-keyed arms re-key ψ many times mid-trace.
 //   storm  — a server profile with frequent context switches and kernel
@@ -29,6 +33,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <iterator>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -39,6 +44,7 @@
 #include "sim/digest.h"
 #include "sim/ooo.h"
 #include "trace/generator.h"
+#include "trace/pregen.h"
 #include "trace/profile.h"
 #include "trace/stream.h"
 
@@ -198,6 +204,12 @@ sim::OooResult run_core(const models::ModelSpec& spec,
   return r;
 }
 
+/// A pregenerated trace of `profile` covering a run of `n` instructions per
+/// thread, with margin.
+std::shared_ptr<const trace::InstrTrace> pregenerated(const char* profile, std::uint64_t n) {
+  return trace::generate_instr_trace(trace::profile_by_name(profile), n + 4096);
+}
+
 class GoldenDigests : public ::testing::TestWithParam<Cell> {};
 
 TEST_P(GoldenDigests, EngineMatchesTable) {
@@ -222,6 +234,9 @@ TEST_P(GoldenDigests, EngineMatchesTable) {
   {
     trace::SyntheticInstrGenerator g(trace::profile_by_name("xz"));
     got.ooo = sim::digest_of(run_core(spec, {&g}, 40'000, 4'000));
+    trace::InstrTraceStream pre(pregenerated("xz", 44'000));
+    EXPECT_EQ(sim::digest_of(run_core(spec, {&pre}, 40'000, 4'000)), got.ooo)
+        << "pregenerated-trace core run diverges from the generator run";
   }
   {
     trace::SyntheticInstrGenerator g0(trace::profile_by_name("bwaves"));
@@ -233,6 +248,10 @@ TEST_P(GoldenDigests, EngineMatchesTable) {
       EXPECT_GT(rekeys, 0u) << "no ψ re-key happened on the SMT pair";
     }
     got.smt = sim::digest_of(r);
+    trace::InstrTraceStream pre0(pregenerated("bwaves", 33'000));
+    trace::InstrTraceStream pre1(pregenerated("mcf", 33'000));
+    EXPECT_EQ(sim::digest_of(run_core(aggressive, {&pre0, &pre1}, 30'000, 3'000)), got.smt)
+        << "pregenerated-trace SMT run diverges from the generator run";
   }
   {
     trace::SyntheticWorkloadGenerator gen(trace::profile_by_name("mcf"));

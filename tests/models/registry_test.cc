@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 #include "core/cibpu_mapping.h"
 #include "core/stbpu_mapping.h"
@@ -74,11 +76,26 @@ TEST(MappingRegistry, VisitEngineRecoversEveryKindTimesDirection) {
       ASSERT_NE(engine, nullptr)
           << to_string(kind) << "/" << to_string(dir) << " missing from registry";
       bool visited = false;
-      EXPECT_TRUE(visit_engine(*engine, [&](auto&) { visited = true; }))
-          << "visit_engine failed for " << to_string(kind) << "/" << to_string(dir);
+      EXPECT_TRUE(visit_engine(*engine, [&](auto& typed) {
+        // The visitor sees the final EngineT, not the interface, so a core
+        // or replay loop instantiated on it is devirtualized.
+        using Engine = std::decay_t<decltype(typed)>;
+        static_assert(!std::is_same_v<Engine, bpu::IPredictor>);
+        static_assert(std::is_final_v<Engine>);
+        visited = true;
+      })) << "visit_engine failed for " << to_string(kind) << "/" << to_string(dir);
       EXPECT_TRUE(visited);
     }
   }
+
+  // A foreign predictor (not built by make_engine) is reported, not
+  // mis-dispatched.
+  struct Foreign final : bpu::IPredictor {
+    bpu::AccessResult access(const bpu::BranchRecord&) override { return {}; }
+    void flush() override {}
+    [[nodiscard]] std::string_view name() const override { return "foreign"; }
+  } foreign;
+  EXPECT_FALSE(visit_engine(foreign, [](auto&) {}));
 }
 
 TEST(MappingRegistry, TokenKeyedArmsCarryAMonitor) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
+#include "exp/engine_visit.h"
 #include "models/engine.h"
 #include "models/models.h"
 #include "sim/bpu_sim.h"
@@ -122,72 +124,75 @@ TEST(Cache, PrefetchHidesStreamLatency) {
 
 // ---------------------------------------------------------------- OoO ----
 
-OooResult run_ooo(const char* workload, models::ModelSpec spec, std::uint64_t n,
-                  std::uint64_t warm) {
-  auto model = models::make_engine(spec);
+/// The core instantiated on the concrete engine `spec` builds, one stream
+/// per hardware thread.
+OooResult run_core(const OooConfig& cfg, const models::ModelSpec& spec,
+                   std::vector<trace::InstrStream*> threads, std::uint64_t n,
+                   std::uint64_t warm) {
+  OooResult r;
+  EXPECT_TRUE(exp::for_each_engine(
+      spec, [&](auto& engine) { r = sim::run_ooo(cfg, engine, threads, n, warm); }));
+  return r;
+}
+
+OooResult run_workload(const char* workload, models::ModelSpec spec, std::uint64_t n,
+                       std::uint64_t warm) {
   trace::SyntheticInstrGenerator gen(trace::profile_by_name(workload));
-  OooCore core({}, model.get(), {&gen});
-  return core.run(n, warm);
+  return run_core({}, spec, {&gen}, n, warm);
 }
 
 TEST(Ooo, IpcWithinPhysicalBounds) {
-  const auto r = run_ooo("leela", {}, 100'000, 10'000);
+  const auto r = run_workload("leela", {}, 100'000, 10'000);
   EXPECT_GT(r.ipc[0], 0.01);
   EXPECT_LE(r.ipc[0], 8.0) << "cannot exceed machine width";
   EXPECT_EQ(r.instructions[0], 100'000u);
 }
 
 TEST(Ooo, Deterministic) {
-  const auto a = run_ooo("mcf", {}, 50'000, 5'000);
-  const auto b = run_ooo("mcf", {}, 50'000, 5'000);
+  const auto a = run_workload("mcf", {}, 50'000, 5'000);
+  const auto b = run_workload("mcf", {}, 50'000, 5'000);
   EXPECT_DOUBLE_EQ(a.ipc[0], b.ipc[0]);
 }
 
 TEST(Ooo, BranchHostileWorkloadIsSlower) {
-  const auto hostile = run_ooo("leela", {}, 80'000, 8'000);   // hard branches
-  const auto friendly = run_ooo("exchange2", {}, 80'000, 8'000);
+  const auto hostile = run_workload("leela", {}, 80'000, 8'000);   // hard branches
+  const auto friendly = run_workload("exchange2", {}, 80'000, 8'000);
   EXPECT_LT(hostile.branch_stats[0].direction_rate(),
             friendly.branch_stats[0].direction_rate());
 }
 
 TEST(Ooo, MispredictionPenaltyLowersIpc) {
   // Same workload, perfect-vs-broken predictor: IPC must respond.
-  auto good = models::make_engine({.direction = models::DirectionKind::kTage64});
   trace::SyntheticInstrGenerator g1(trace::profile_by_name("exchange2"));
-  OooCore core1({}, good.get(), {&g1});
-  const auto fast = core1.run(80'000, 8'000);
+  const auto fast =
+      run_core({}, {.direction = models::DirectionKind::kTage64}, {&g1}, 80'000, 8'000);
 
   OooConfig harsh;
   harsh.mispredict_penalty = 200;  // grotesque penalty amplifies the effect
-  auto bad = models::make_engine({.direction = models::DirectionKind::kSklCond});
   trace::SyntheticInstrGenerator g2(trace::profile_by_name("exchange2"));
-  OooCore core2(harsh, bad.get(), {&g2});
-  const auto slow = core2.run(80'000, 8'000);
+  const auto slow =
+      run_core(harsh, {.direction = models::DirectionKind::kSklCond}, {&g2}, 80'000, 8'000);
   EXPECT_LT(slow.ipc[0], fast.ipc[0]);
 }
 
 TEST(Ooo, SmtSharesBandwidth) {
-  auto m1 = models::make_engine({.direction = models::DirectionKind::kTage64});
+  const models::ModelSpec tage64{.direction = models::DirectionKind::kTage64};
   trace::SyntheticInstrGenerator solo(trace::profile_by_name("leela"));
-  OooCore solo_core({}, m1.get(), {&solo});
-  const auto alone = solo_core.run(60'000, 6'000);
+  const auto alone = run_core({}, tage64, {&solo}, 60'000, 6'000);
 
-  auto m2 = models::make_engine({.direction = models::DirectionKind::kTage64});
   trace::SyntheticInstrGenerator a(trace::profile_by_name("leela"));
   trace::SyntheticInstrGenerator b(trace::profile_by_name("exchange2"));
-  OooCore smt_core({}, m2.get(), {&a, &b});
-  const auto pair = smt_core.run(60'000, 6'000);
+  const auto pair = run_core({}, tage64, {&a, &b}, 60'000, 6'000);
   EXPECT_EQ(pair.threads, 2u);
   EXPECT_LT(pair.ipc[0], alone.ipc[0]) << "SMT sibling must cost throughput";
   EXPECT_GT(pair.ipc_harmonic_mean(), 0.0);
 }
 
 TEST(Ooo, HarmonicMeanBelowArithmetic) {
-  auto m = models::make_engine({.direction = models::DirectionKind::kTage64});
   trace::SyntheticInstrGenerator a(trace::profile_by_name("bwaves"));
   trace::SyntheticInstrGenerator b(trace::profile_by_name("leela"));
-  OooCore core({}, m.get(), {&a, &b});
-  const auto r = core.run(60'000, 6'000);
+  const auto r =
+      run_core({}, {.direction = models::DirectionKind::kTage64}, {&a, &b}, 60'000, 6'000);
   const double amean = (r.ipc[0] + r.ipc[1]) / 2.0;
   EXPECT_LE(r.ipc_harmonic_mean(), amean + 1e-12);
 }
