@@ -250,10 +250,10 @@ bool visit_engine_list(bpu::IPredictor& engine, Fn&& fn, MappingTypeList<Ms...>)
 /// dynamic_cast chain per run (driven by the deduplicated RegisteredArms
 /// mapping typelist) recovers the concrete EngineT<Mapping, Direction>,
 /// after which `fn`'s body compiles against the final type — callers that
-/// instantiate the integer-tick sim::OooCoreT (or sim::replay, or the
-/// reference sim::OooCoreRefT) on it get a fully devirtualized per-branch
-/// path. Returns false when `engine` is a foreign predictor (one not built
-/// by make_engine); callers then fall back to the interface-typed path.
+/// instantiate the cycle-level sim::OooCoreT (through sim::run_ooo) or
+/// sim::replay on it get a fully devirtualized per-branch path. Returns
+/// false, without calling `fn`, when `engine` is a foreign predictor (one
+/// not built by make_engine).
 template <class Fn>
 bool visit_engine(bpu::IPredictor& engine, Fn&& fn) {
   return detail::visit_engine_list(engine, fn, detail::UniqueEngineMappings{});

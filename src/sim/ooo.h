@@ -12,24 +12,17 @@
 // Wrong-path execution is approximated by the redirect penalty, the
 // standard trace-driven simplification (documented in DESIGN.md §5).
 //
-// Two implementations share the interface:
-//   * OooCoreT — the production core. Event times are u64 *ticks*, one tick
-//     = the 1/width issue quantum, so a cycle is exactly `width` ticks and
-//     every max/+ in the timing recurrence is exact integer arithmetic (all
-//     OooConfig latencies are unsigned; 1/width is the only fractional
-//     quantum in the model). It also attributes stall cycles (fetch
-//     bandwidth, redirects, ROB/IQ/LQ/SQ occupancy) per thread.
-//   * OooCoreRefT — the retained double-precision reference core, the
-//     original AoS implementation kept verbatim so equivalence is asserted,
-//     not assumed: for power-of-two widths every double the reference
-//     computes is an exact multiple of 1/width, so the tick core's
-//     cycles/IPC match it bit-for-bit and BranchStats are identical by
-//     construction (tests/integration/ooo_typed_equivalence_test.cc,
-//     tests/sim/ooo_core_test.cc).
+// Event times are u64 *ticks*, one tick = the 1/width issue quantum, so a
+// cycle is exactly `width` ticks and every max/+ in the timing recurrence is
+// exact integer arithmetic (all OooConfig latencies are unsigned; 1/width is
+// the only fractional quantum in the model). The core also attributes stall
+// cycles (fetch bandwidth, redirects, ROB/IQ/LQ/SQ occupancy) per thread.
+// Checked-in digests pin its results: tests/sim/ooo_core_test.cc across
+// widths and runs that end early, the ooo and smt columns of
+// tests/integration/golden_digest_test.cc for every arm.
 //
-// Both cores step the threads round-robin: round j is thread 0's j-th
-// instruction, then thread 1's ((j, t) order). The reference core runs each
-// step to the end before the next; the tick core runs up to kChunk rounds
+// The core steps the threads round-robin: round j is thread 0's j-th
+// instruction, then thread 1's ((j, t) order). It runs up to kChunk rounds
 // at a time as four passes:
 //   1. fill — copy the chunk's instructions into per-core SoA buffers (bulk
 //      from a borrowed InstrBlock, or next() per record) and list its
@@ -121,13 +114,12 @@ struct OooResult {
   std::array<double, kMaxSmtThreads> cycles{};
   std::array<double, kMaxSmtThreads> ipc{};
   std::array<BranchStats, kMaxSmtThreads> branch_stats{};
-  /// Stall attribution (tick core only; the double reference core leaves
-  /// these zero — it predates the counters and stays the unadorned spec).
+  /// Stall attribution over the measured window (OooThreadStalls).
   std::array<OooThreadStalls, kMaxSmtThreads> stalls{};
   /// Hit/miss counters of the core's cache hierarchy over the whole run
   /// (warm-up included), prefetch probes counted with demand accesses
-  /// (CacheHierarchyCounters) — the cache simulation's fingerprint,
-  /// asserted bit-equal across core variants by the equivalence tests.
+  /// (CacheHierarchyCounters) — the cache simulation's fingerprint, part of
+  /// sim::digest_of(OooResult) and so of every pinned core digest.
   CacheHierarchyCounters cache{};
 
   [[nodiscard]] double ipc_harmonic_mean() const {
@@ -142,14 +134,13 @@ struct OooResult {
   }
 };
 
-/// The production cycle-level core: integer fixed-point event timing over
+/// The cycle-level core: integer fixed-point event timing over
 /// structure-of-arrays state, run a chunk of rounds per pass (file comment).
 /// A thread whose stream runs dry stops for good.
 ///
-/// Template over the BPU type: with the default interface type this is the
-/// classic polymorphic core; instantiated with a concrete engine type the
-/// per-branch access() devirtualizes like the trace replay loop.
-template <class Bpu = bpu::IPredictor>
+/// Template over the BPU type: instantiated on a concrete engine type (see
+/// run_ooo) the per-branch access() devirtualizes like the trace replay loop.
+template <class Bpu>
 class OooCoreT {
  public:
   /// Rounds per chunk (instruction-steps per thread per pass).
@@ -162,8 +153,6 @@ class OooCoreT {
   /// Simulate `instr_budget` committed instructions per thread after
   /// `warmup` warm-up instructions per thread.
   OooResult run(std::uint64_t instr_budget, std::uint64_t warmup);
-
-  [[nodiscard]] const CacheHierarchy& caches() const noexcept { return caches_; }
 
  private:
   using Kind = trace::InstrRecord::Kind;
@@ -246,10 +235,11 @@ class OooCoreT {
 
   /// All ring buffers, one flat allocation: thread t's block starts at
   /// t × ring_stride_ and holds [ROB | IQ | LQ | SQ | spare | zero] back to
-  /// back, each ring with a power-of-two capacity. Instruction n writes its
-  /// entry at (n & mask) and waits for the one at (n - size) & mask: the
-  /// time written `size` instructions ago (0 while the ring fills), exactly
-  /// the reference core's `ring[n % size]`. Steps that are neither loads
+  /// back. Instruction n waits for the time instruction n - size wrote (0
+  /// while the ring fills), so at most `size` instructions occupy the
+  /// structure: a ring of `size` slots indexed n % size. Its storage is a
+  /// power of two, so the write goes to n & mask and the wait reads
+  /// (n - size) & mask: masks, not divisions. Steps that are neither loads
   /// nor stores write their memory-queue entry to the spare slot, never
   /// read, and wait for the zero slot, never written.
   std::vector<Tick> rings_;
@@ -264,11 +254,8 @@ class OooCoreT {
   std::unique_ptr<Chunk> chunk_ = std::make_unique<Chunk>();
 };
 
-/// Legacy dynamic-dispatch instantiation (compiled once in ooo.cc).
-using OooCore = OooCoreT<>;
-
 // ---------------------------------------------------------------------------
-// Implementation (template — shared verbatim by every instantiation).
+// Implementation.
 // ---------------------------------------------------------------------------
 
 template <class Bpu>
@@ -289,9 +276,9 @@ OooCoreT<Bpu>::OooCoreT(const OooConfig& cfg, Bpu* bpu,
   kind_lat_ = {Tick{cfg_.lat_alu} * w, Tick{cfg_.lat_mul} * w, Tick{cfg_.lat_div} * w,
                Tick{cfg_.lat_fp} * w, 0, w, Tick{cfg_.lat_branch} * w};
 
-  // Per-thread shares of the shared structures (same floor as the
-  // reference core), stored with power-of-two capacity so the hot path
-  // masks instead of dividing.
+  // Per-thread shares of the shared structures (at least 8 ROB entries
+  // and 4 IQ/LQ/SQ entries), stored with power-of-two capacity so the hot
+  // path masks instead of dividing.
   const auto share = [&](unsigned total, unsigned floor_sz) {
     return std::max(floor_sz, total / nthreads_);
   };
@@ -356,7 +343,7 @@ template <class Bpu>
 void OooCoreT<Bpu>::run_chunk(const std::size_t rounds, const bool measuring) {
   Chunk& c = *chunk_;
   // --- fill: this chunk's instructions, then its memory-op and branch
-  // lists in (j, t) order — the order the reference core accesses them in.
+  // lists in (j, t) order — the order the cache and the BPU see them in.
   std::array<std::size_t, kMaxSmtThreads> steps{};  // per thread
   for (unsigned t = 0; t < nthreads_; ++t) {
     steps[t] = done_[t] ? 0 : fill(t, rounds);
@@ -531,11 +518,10 @@ OooResult OooCoreT<Bpu>::run(std::uint64_t instr_budget, std::uint64_t warmup) {
   const std::array<ThreadClock, kMaxSmtThreads> start = clock_;
   run_rounds(instr_budget, true);
 
-  // Report: cycles/IPC reconstructed from ticks. For power-of-two widths
-  // tick/width is an exact double, so these match the reference core
-  // bit-for-bit; for other widths the tick numbers are the *more* exact
-  // ones (the reference accumulates 1/width rounding). A thread finishes
-  // at its last commit, whether it reached its budget or ran dry.
+  // Report: cycles/IPC reconstructed from ticks as ticks / width, one
+  // rounding of an exact integer ratio (no rounding at all for
+  // power-of-two widths). A thread finishes at its last commit, whether it
+  // reached its budget or ran dry.
   const auto cyc = [&](Tick end, Tick begin) { return static_cast<double>(end - begin) / cfg_.width; };
   for (unsigned t = 0; t < nthreads_; ++t) {
     const StallTicks &s = clock_[t].stall, &s0 = start[t].stall;
@@ -555,263 +541,14 @@ OooResult OooCoreT<Bpu>::run(std::uint64_t instr_budget, std::uint64_t warmup) {
   return result;
 }
 
-// ---------------------------------------------------------------------------
-// OooCoreRefT — the double-precision reference core (retained AoS
-// implementation). This is the executable specification the tick core is
-// checked against; it has no stall counters and no SoA layout on purpose.
-// ---------------------------------------------------------------------------
-
-template <class Bpu = bpu::IPredictor>
-class OooCoreRefT {
- public:
-  OooCoreRefT(const OooConfig& cfg, Bpu* bpu, std::vector<trace::InstrStream*> threads);
-
-  OooResult run(std::uint64_t instr_budget, std::uint64_t warmup);
-
-  [[nodiscard]] const CacheHierarchy& caches() const noexcept { return caches_; }
-
- private:
-  struct ThreadState {
-    trace::InstrStream* stream = nullptr;
-    std::uint8_t hart = 0;
-    double next_fetch = 0.0;
-    double redirect_until = 0.0;
-    double last_commit = 0.0;
-    std::uint64_t count = 0;           ///< instructions processed
-    std::uint64_t loads = 0, stores = 0;
-    std::vector<double> rob_commit;    ///< ring: commit time by instr index
-    std::vector<double> iq_issue;      ///< ring: issue time by instr index
-    std::vector<double> lq_complete;   ///< ring per load
-    std::vector<double> sq_commit;     ///< ring per store
-    std::array<double, kNumArchRegs + 1> reg_ready{};
-    bool has_ctx = false;
-    bpu::ExecContext last_ctx;
-    // Measurement window.
-    bool measuring = false;
-    double measure_start = 0.0;
-    BranchStats stats;
-    std::uint64_t measured = 0;
-    bool done = false;
-    double finish_time = 0.0;
-  };
-
-  void step(ThreadState& t);
-
-  OooConfig cfg_;
-  Bpu* bpu_;
-  CacheHierarchy caches_;
-  std::vector<ThreadState> threads_;
-  double shared_fetch_time_ = 0.0;
-  double shared_issue_time_ = 0.0;
-};
-
-/// Interface-typed reference instantiation (compiled once in ooo.cc).
-using OooCoreRef = OooCoreRefT<>;
-
-template <class Bpu>
-OooCoreRefT<Bpu>::OooCoreRefT(const OooConfig& cfg, Bpu* bpu,
-                              std::vector<trace::InstrStream*> threads)
-    : cfg_(cfg), bpu_(bpu), caches_(cfg.caches) {
-  assert(!threads.empty() && threads.size() <= kMaxSmtThreads);
-  threads_.resize(threads.size());
-  const unsigned rob_share =
-      std::max<unsigned>(8, cfg_.rob / static_cast<unsigned>(threads.size()));
-  const unsigned iq_share =
-      std::max<unsigned>(4, cfg_.iq / static_cast<unsigned>(threads.size()));
-  const unsigned lq_share =
-      std::max<unsigned>(4, cfg_.lq / static_cast<unsigned>(threads.size()));
-  const unsigned sq_share =
-      std::max<unsigned>(4, cfg_.sq / static_cast<unsigned>(threads.size()));
-  for (std::size_t i = 0; i < threads.size(); ++i) {
-    ThreadState& t = threads_[i];
-    t.stream = threads[i];
-    t.hart = static_cast<std::uint8_t>(i);
-    t.rob_commit.assign(rob_share, 0.0);
-    t.iq_issue.assign(iq_share, 0.0);
-    t.lq_complete.assign(lq_share, 0.0);
-    t.sq_commit.assign(sq_share, 0.0);
-  }
-}
-
-template <class Bpu>
-void OooCoreRefT<Bpu>::step(ThreadState& t) {
-  trace::InstrRecord ins;
-  if (!t.stream->next(ins)) {
-    t.done = true;
-    t.finish_time = t.last_commit;
-    return;
-  }
-  const double inv_w = 1.0 / cfg_.width;
-
-  // --- fetch: thread redirect stall + shared fetch bandwidth -------------
-  double fetch = std::max(t.next_fetch, t.redirect_until);
-  fetch = std::max(fetch, shared_fetch_time_);
-  shared_fetch_time_ = fetch + inv_w;
-  t.next_fetch = fetch;
-
-  // --- dispatch: ROB / IQ / LQ / SQ occupancy -----------------------------
-  double dispatch = fetch + cfg_.frontend_depth;
-  dispatch = std::max(dispatch, t.rob_commit[t.count % t.rob_commit.size()]);
-  dispatch = std::max(dispatch, t.iq_issue[t.count % t.iq_issue.size()]);
-  const bool is_load = ins.kind == trace::InstrRecord::Kind::kLoad;
-  const bool is_store = ins.kind == trace::InstrRecord::Kind::kStore;
-  if (is_load) {
-    dispatch = std::max(dispatch, t.lq_complete[t.loads % t.lq_complete.size()]);
-  }
-  if (is_store) {
-    dispatch = std::max(dispatch, t.sq_commit[t.stores % t.sq_commit.size()]);
-  }
-
-  // --- issue: dataflow + shared issue bandwidth ---------------------------
-  assert(ins.dst <= kNumArchRegs && ins.src1 <= kNumArchRegs &&
-         ins.src2 <= kNumArchRegs && "trace register index exceeds kNumArchRegs");
-  double ready = dispatch;
-  if (ins.src1 != 0) ready = std::max(ready, t.reg_ready[ins.src1]);
-  if (ins.src2 != 0) ready = std::max(ready, t.reg_ready[ins.src2]);
-  double issue = std::max(ready, shared_issue_time_);
-  shared_issue_time_ = issue + inv_w;
-  t.iq_issue[t.count % t.iq_issue.size()] = issue;
-
-  // --- execute ------------------------------------------------------------
-  double lat = cfg_.lat_alu;
-  bool mispredicted = false;
-  bpu::AccessResult access{};
-  switch (ins.kind) {
-    case trace::InstrRecord::Kind::kAlu:
-      lat = cfg_.lat_alu;
-      break;
-    case trace::InstrRecord::Kind::kMul:
-      lat = cfg_.lat_mul;
-      break;
-    case trace::InstrRecord::Kind::kDiv:
-      lat = cfg_.lat_div;
-      break;
-    case trace::InstrRecord::Kind::kFp:
-      lat = cfg_.lat_fp;
-      break;
-    case trace::InstrRecord::Kind::kLoad:
-      lat = caches_.load_latency(ins.mem_addr, ins.streaming);
-      break;
-    case trace::InstrRecord::Kind::kStore:
-      lat = 1;  // store data captured; the line is written back post-commit
-      caches_.load_latency(ins.mem_addr, ins.streaming);  // allocate-on-write
-      break;
-    case trace::InstrRecord::Kind::kBranch: {
-      lat = cfg_.lat_branch;
-      bpu::BranchRecord br = ins.branch;
-      br.ctx.hart = t.hart;  // hart is assigned by the core, not the trace
-      if (t.has_ctx && !(t.last_ctx == br.ctx)) {
-        bpu_->on_switch(t.last_ctx, br.ctx);
-        if (t.measuring) {
-          if (t.last_ctx.pid != br.ctx.pid) {
-            ++t.stats.context_switches;
-          } else {
-            ++t.stats.mode_switches;
-          }
-        }
-      }
-      t.last_ctx = br.ctx;
-      t.has_ctx = true;
-      access = bpu_->access(br);
-      mispredicted = !access.overall_correct;
-      if (t.measuring) t.stats.absorb(br, access);
-      break;
-    }
-  }
-  const double complete = issue + lat;
-  if (ins.dst != 0) t.reg_ready[ins.dst] = complete;
-  if (is_load) {
-    t.lq_complete[t.loads % t.lq_complete.size()] = complete;
-    ++t.loads;
-  }
-
-  // --- resolve branches ----------------------------------------------------
-  if (mispredicted) {
-    // Squash: the front end refills from the correct path once the branch
-    // resolves; younger wrong-path work is abandoned (penalty-modelled).
-    t.redirect_until =
-        std::max(t.redirect_until, complete + cfg_.mispredict_penalty);
-  }
-
-  // --- commit: in order, width per cycle ----------------------------------
-  const double commit = std::max(complete, t.last_commit + inv_w);
-  t.last_commit = commit;
-  t.rob_commit[t.count % t.rob_commit.size()] = commit;
-  if (is_store) {
-    t.sq_commit[t.stores % t.sq_commit.size()] = commit;
-    ++t.stores;
-  }
-  ++t.count;
-  if (t.measuring) ++t.measured;
-}
-
-template <class Bpu>
-OooResult OooCoreRefT<Bpu>::run(std::uint64_t instr_budget, std::uint64_t warmup) {
-  OooResult result;
-  result.threads = static_cast<unsigned>(threads_.size());
-
-  // Warm up all threads (round-robin so SMT contention is realistic).
-  for (std::uint64_t i = 0; i < warmup; ++i) {
-    for (auto& t : threads_) {
-      if (!t.done) step(t);
-    }
-  }
-  for (auto& t : threads_) {
-    t.measuring = true;
-    t.measure_start = t.last_commit;
-  }
-
-  // Measured window: run each thread to its budget. Fine-grain round-robin
-  // keeps the shared-BPU access interleaving honest while both run.
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (auto& t : threads_) {
-      if (!t.done && t.measured < instr_budget) {
-        step(t);
-        progress = true;
-      } else if (!t.done && t.finish_time == 0.0) {
-        t.finish_time = t.last_commit;
-      }
-    }
-  }
-
-  for (std::size_t i = 0; i < threads_.size(); ++i) {
-    ThreadState& t = threads_[i];
-    if (t.finish_time == 0.0) t.finish_time = t.last_commit;
-    const double cycles = std::max(1.0, t.finish_time - t.measure_start);
-    result.instructions[i] = t.measured;
-    result.cycles[i] = cycles;
-    result.ipc[i] = static_cast<double>(t.measured) / cycles;
-    result.branch_stats[i] = t.stats;
-  }
-  result.cache = caches_.counters();
-  return result;
-}
-
-/// The legacy instantiations are compiled once in ooo.cc.
-extern template class OooCoreT<>;
-extern template class OooCoreRefT<>;
-
-/// Engine-typed fan-out entry point: run a cycle-level core instantiated on
-/// the concrete BPU type. With `Bpu` a final engine from
-/// models::visit_engine the per-branch access()/on_switch() calls in step()
-/// devirtualize, mirroring what models::replay_engine does for trace
-/// replay; with `Bpu = bpu::IPredictor` this is exactly the legacy core.
+/// Run the cycle-level core instantiated on the concrete BPU type. With
+/// `Bpu` a final engine from models::visit_engine (exp::for_each_engine)
+/// the per-branch access()/on_switch() calls devirtualize, mirroring what
+/// models::replay_engine does for trace replay.
 template <class Bpu>
 OooResult run_ooo(const OooConfig& cfg, Bpu& bpu, std::vector<trace::InstrStream*> threads,
                   std::uint64_t instr_budget, std::uint64_t warmup) {
   OooCoreT<Bpu> core(cfg, &bpu, std::move(threads));
-  return core.run(instr_budget, warmup);
-}
-
-/// Same entry point over the double-precision reference core — the oracle
-/// the equivalence tests compare the tick core against.
-template <class Bpu>
-OooResult run_ooo_ref(const OooConfig& cfg, Bpu& bpu,
-                      std::vector<trace::InstrStream*> threads,
-                      std::uint64_t instr_budget, std::uint64_t warmup) {
-  OooCoreRefT<Bpu> core(cfg, &bpu, std::move(threads));
   return core.run(instr_budget, warmup);
 }
 

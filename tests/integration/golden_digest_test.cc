@@ -234,7 +234,7 @@ TEST_P(GoldenDigests, EngineMatchesTable) {
   {
     trace::SyntheticInstrGenerator g(trace::profile_by_name("xz"));
     got.ooo = sim::digest_of(run_core(spec, {&g}, 40'000, 4'000));
-    trace::InstrTraceStream pre(pregenerated("xz", 44'000));
+    trace::InstrTraceStream pre(pregenerated("xz", 4'000 + 40'000));
     EXPECT_EQ(sim::digest_of(run_core(spec, {&pre}, 40'000, 4'000)), got.ooo)
         << "pregenerated-trace core run diverges from the generator run";
   }
@@ -248,8 +248,8 @@ TEST_P(GoldenDigests, EngineMatchesTable) {
       EXPECT_GT(rekeys, 0u) << "no ψ re-key happened on the SMT pair";
     }
     got.smt = sim::digest_of(r);
-    trace::InstrTraceStream pre0(pregenerated("bwaves", 33'000));
-    trace::InstrTraceStream pre1(pregenerated("mcf", 33'000));
+    trace::InstrTraceStream pre0(pregenerated("bwaves", 3'000 + 30'000));
+    trace::InstrTraceStream pre1(pregenerated("mcf", 3'000 + 30'000));
     EXPECT_EQ(sim::digest_of(run_core(aggressive, {&pre0, &pre1}, 30'000, 3'000)), got.smt)
         << "pregenerated-trace SMT run diverges from the generator run";
   }
